@@ -28,11 +28,16 @@ done
 
 # Fleet campaign smoke on the default build: an 8-habitat campaign must
 # run and produce a byte-identical aggregate dump for threads=1 vs
-# threads=hw (fleet_scale exits non-zero otherwise).
+# threads=hw (fleet_scale exits non-zero otherwise). The dump must also
+# match the checked-in golden file byte for byte, so a change that claims
+# to leave the simulation's output alone is checked against history, not
+# only against itself. Regenerate the golden file only on purpose, when a
+# change is meant to move the simulation's output.
 case " $PRESETS " in
   *" default "*)
-    echo "=== [default] fleet_scale smoke (8 habitats) ==="
-    ./build/bench/fleet_scale 8 1 42
+    echo "=== [default] fleet_scale smoke (8 habitats) + golden dump ==="
+    ./build/bench/fleet_scale 8 1 42 build/fleet_scale_8_1_42.csv
+    cmp build/fleet_scale_8_1_42.csv tests/golden/fleet_scale_8_1_42.csv
     ;;
 esac
 

@@ -96,7 +96,10 @@ class Badge {
   void tick_frames(SimTime now, const EnvironmentModel& env, Rng& rng);
 
   /// BLE scan over candidate beacons; logs one BeaconObs per heard beacon.
-  void scan_beacons(SimTime now, const std::vector<const beacon::Beacon*>& candidates,
+  /// `room` must be room_at(position()); each link's mean RSSI is computed
+  /// once and all ads_per_scan advertisements fade around it.
+  void scan_beacons(SimTime now, habitat::RoomId room,
+                    const std::vector<beacon::AudibleBeacon>& candidates,
                     const radio::Channel& ble, Rng& rng);
 
   /// Receive a proximity ping from `sender` (already decoded at rssi_dbm).

@@ -17,15 +17,18 @@ BadgeNetwork::BadgeNetwork(const habitat::Habitat& habitat, std::vector<beacon::
       ir_(habitat) {
   // Precompute per-room audible-beacon candidate lists (same or adjacent
   // room; anything further is shielded far below sensitivity).
+  // Index kRoomCount: unknown position -> consider everything (rare).
   candidates_.resize(habitat::kRoomCount + 1);
+  auto& everything = candidates_[habitat::kRoomCount];
+  for (const auto& b : beacons_) everything.push_back({&b, habitat_->room_at(b.position)});
   for (const auto room_id : habitat::all_rooms()) {
     auto& list = candidates_[habitat::room_index(room_id)];
-    for (const auto& b : beacons_) {
-      if (b.room == room_id || habitat_->adjacent(b.room, room_id)) list.push_back(&b);
+    for (const auto& a : everything) {
+      if (a.beacon->room == room_id || habitat_->adjacent(a.beacon->room, room_id)) {
+        list.push_back(a);
+      }
     }
   }
-  // Index kRoomCount: unknown position -> consider everything (rare).
-  for (const auto& b : beacons_) candidates_[habitat::kRoomCount].push_back(&b);
 }
 
 Badge* BadgeNetwork::add_badge(io::BadgeId id, timesync::DriftingClock clock, BadgeParams params) {
@@ -57,7 +60,7 @@ const Badge* BadgeNetwork::badge(io::BadgeId id) const {
   return nullptr;
 }
 
-const std::vector<const beacon::Beacon*>& BadgeNetwork::candidates_for(habitat::RoomId room) const {
+const std::vector<beacon::AudibleBeacon>& BadgeNetwork::candidates_for(habitat::RoomId room) const {
   const auto idx =
       room == habitat::RoomId::kNone ? habitat::kRoomCount : habitat::room_index(room);
   return candidates_[idx];
@@ -68,30 +71,42 @@ void BadgeNetwork::tick(SimTime now, Rng& rng) {
   // 1. Sensor frames + battery for every badge.
   for (auto& b : badges_) b->tick_frames(now, *env_, rng);
 
+  // Each badge's room, once: every link below reads it instead of calling
+  // room_at per link.
+  rooms_.resize(badges_.size());
+  for (std::size_t i = 0; i < badges_.size(); ++i) {
+    rooms_[i] = habitat_->room_at(badges_[i]->position());
+  }
+
   // 2. BLE beacon scans.
-  for (auto& b : badges_) {
-    if (!b->active() || !b->due(now, b->params().scan_period_s)) continue;
-    const auto& all = candidates_for(habitat_->room_at(b->position()));
+  for (std::size_t i = 0; i < badges_.size(); ++i) {
+    Badge& b = *badges_[i];
+    if (!b.active() || !b.due(now, b.params().scan_period_s)) continue;
+    const auto& all = candidates_for(rooms_[i]);
     if (beacons_down_ == 0) {
-      b->scan_beacons(now, all, ble_, rng);
+      b.scan_beacons(now, rooms_[i], all, ble_, rng);
     } else {
       // Outage active somewhere: scan over the audible, still-alive set.
       scan_scratch_.clear();
-      for (const beacon::Beacon* bc : all) {
-        if (!beacon_down(bc->id)) scan_scratch_.push_back(bc);
+      for (const auto& bc : all) {
+        if (!beacon_down(bc.beacon->id)) scan_scratch_.push_back(bc);
       }
-      b->scan_beacons(now, scan_scratch_, ble_, rng);
+      b.scan_beacons(now, rooms_[i], scan_scratch_, ble_, rng);
     }
   }
 
   // 3. 868 MHz proximity pings: sender broadcasts, every other active badge
   //    tries to decode.
-  for (auto& sender : badges_) {
-    if (!sender->active() || !sender->due(now, sender->params().ping_period_s)) continue;
-    for (auto& receiver : badges_) {
-      if (receiver.get() == sender.get() || !receiver->active()) continue;
-      if (const auto rssi = subghz_.try_receive(sender->position(), receiver->position(), rng)) {
-        receiver->receive_ping(now, sender->id(), *rssi, io::Band::kSubGhz868);
+  for (std::size_t s = 0; s < badges_.size(); ++s) {
+    const Badge& sender = *badges_[s];
+    if (!sender.active() || !sender.due(now, sender.params().ping_period_s)) continue;
+    for (std::size_t r = 0; r < badges_.size(); ++r) {
+      Badge& receiver = *badges_[r];
+      if (r == s || !receiver.active()) continue;
+      const double mean =
+          subghz_.mean_rssi(sender.position(), rooms_[s], receiver.position(), rooms_[r]);
+      if (const auto rssi = subghz_.receive(mean, rng)) {
+        receiver.receive_ping(now, sender.id(), *rssi, io::Band::kSubGhz868);
       }
     }
   }
@@ -109,14 +124,19 @@ void BadgeNetwork::tick(SimTime now, Rng& rng) {
 
   // 5. Opportunistic time sync against the reference badge.
   if (reference_ != nullptr) {
-    for (auto& b : badges_) {
-      if (b.get() == reference_ || !b->due(now, b->params().sync_period_s)) continue;
-      if (b->battery().depleted()) continue;
+    const Vec2 ref_pos = reference_->position();
+    const habitat::RoomId ref_room = habitat_->room_at(ref_pos);
+    for (std::size_t i = 0; i < badges_.size(); ++i) {
+      Badge& b = *badges_[i];
+      if (&b == reference_ || !b.due(now, b.params().sync_period_s)) continue;
+      if (b.battery().depleted()) continue;
       // Docked badges sit next to the reference; roaming badges need an
       // 868 MHz link to it.
       const bool in_range =
-          b->docked() || subghz_.try_receive(reference_->position(), b->position(), rng).has_value();
-      if (in_range) b->record_sync(now, reference_->clock());
+          b.docked() ||
+          subghz_.receive(subghz_.mean_rssi(ref_pos, ref_room, b.position(), rooms_[i]), rng)
+              .has_value();
+      if (in_range) b.record_sync(now, reference_->clock());
     }
   }
 }

@@ -62,11 +62,12 @@ class BadgeNetwork {
   void add_channel_loss(io::Band band, double db);
   [[nodiscard]] const radio::Channel& channel(io::Band band) const;
 
- private:
   /// Beacons audible from a room: same room or adjacent (two metal walls
-  /// put everything else > 30 dB below sensitivity, so they are skipped).
-  [[nodiscard]] const std::vector<const beacon::Beacon*>& candidates_for(habitat::RoomId room) const;
+  /// put everything else > 30 dB below sensitivity, so they are skipped),
+  /// each with its room_at(position) cached. kNone lists every beacon.
+  [[nodiscard]] const std::vector<beacon::AudibleBeacon>& candidates_for(habitat::RoomId room) const;
 
+ private:
   const habitat::Habitat* habitat_;
   std::vector<beacon::Beacon> beacons_;
   Vec2 station_;
@@ -77,13 +78,16 @@ class BadgeNetwork {
   std::vector<std::unique_ptr<Badge>> badges_;
   Badge* reference_ = nullptr;
   // candidate lists indexed by room (kRoomCount entries + 1 for kNone).
-  std::vector<std::vector<const beacon::Beacon*>> candidates_;
+  std::vector<std::vector<beacon::AudibleBeacon>> candidates_;
   // Fault state: one flag per beacon id; count kept so the no-fault scan
   // path stays allocation-free. scan_scratch_ holds the filtered candidate
   // list while an outage is active.
   std::vector<std::uint8_t> beacon_down_;
   std::size_t beacons_down_ = 0;
-  std::vector<const beacon::Beacon*> scan_scratch_;
+  std::vector<beacon::AudibleBeacon> scan_scratch_;
+  // rooms_[i] = room_at(badges_[i]->position()), refreshed once per tick
+  // (nothing moves within a tick) for the scan and 868 MHz link means.
+  std::vector<habitat::RoomId> rooms_;
 };
 
 }  // namespace hs::badge

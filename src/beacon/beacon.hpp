@@ -24,6 +24,14 @@ struct Beacon {
   double adv_rate_hz = 3.0;
 };
 
+/// A beacon as a scanning badge sees it: the beacon and the room its
+/// position lies in (habitat.room_at(position), looked up once, so the
+/// per-second scan never calls room_at for a beacon).
+struct AudibleBeacon {
+  const Beacon* beacon = nullptr;
+  habitat::RoomId room = habitat::RoomId::kNone;
+};
+
 /// Deploys beacons over a habitat: roughly evenly per room, proportionally
 /// more in larger rooms, placed off-center for triangulation diversity.
 /// The hangar gets none (no badge coverage there, badges are not worn on

@@ -53,7 +53,8 @@ struct PipelineOptions {
   bool rectify_clocks = true;
   /// Worker threads for the sharded pipeline stages and artifacts().
   /// 0 = std::thread::hardware_concurrency(); 1 = the serial reference
-  /// path (no pool is created). Results are bit-identical for every
+  /// path (no pool is created). The calling thread runs shards beside the
+  /// pool, so N >= 2 runs up to N + 1 shards at once. Results are bit-identical for every
   /// thread count — see docs/CONCURRENCY.md for the guarantee.
   unsigned threads = 0;
   /// Process records through arena-allocated struct-of-arrays batches

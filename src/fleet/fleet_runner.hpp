@@ -20,7 +20,9 @@
 namespace hs::fleet {
 
 struct CampaignOptions {
-  /// parallel_for shards; 0 = hardware concurrency, 1 = serial reference.
+  /// Pool workers for the habitat shards; 0 = hardware concurrency, 1 =
+  /// serial reference. The calling thread runs habitats too, so N >= 2
+  /// runs up to N + 1 habitats at once.
   unsigned threads = 1;
   /// How often each habitat's support system samples the mesh health feed.
   SimDuration support_cadence = minutes(5);

@@ -59,6 +59,13 @@ void Habitat::finalize() {
   grid_w_ = static_cast<int>(std::ceil(bbox_.width() / kCellSize));
   grid_h_ = static_cast<int>(std::ceil(bbox_.height() / kCellSize));
 
+  for (auto& row : door_of_) std::fill(std::begin(row), std::end(row), std::int8_t{-1});
+  for (std::size_t i = doors_.size(); i-- > 0;) {  // backwards: the first door wins
+    const auto a = room_index(doors_[i].a);
+    const auto b = room_index(doors_[i].b);
+    door_of_[a][b] = door_of_[b][a] = static_cast<std::int8_t>(i);
+  }
+
   // BFS over the door graph from every room: hop counts give wall counts
   // (each door crossing passes exactly one wall) and first hops give the
   // walking route.
@@ -108,10 +115,9 @@ RoomId Habitat::room_at(Vec2 p) const {
 }
 
 const Habitat::Door* Habitat::find_door(RoomId a, RoomId b) const {
-  for (const auto& d : doors_) {
-    if ((d.a == a && d.b == b) || (d.a == b && d.b == a)) return &d;
-  }
-  return nullptr;
+  if (room_index(a) >= kRoomCount || room_index(b) >= kRoomCount) return nullptr;
+  const int i = door_of_[room_index(a)][room_index(b)];
+  return i < 0 ? nullptr : &doors_[static_cast<std::size_t>(i)];
 }
 
 bool Habitat::adjacent(RoomId a, RoomId b) const { return find_door(a, b) != nullptr; }

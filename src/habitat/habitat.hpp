@@ -12,6 +12,7 @@
 // RF shielding, both of which the paper states explicitly.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "habitat/room.hpp"
@@ -113,6 +114,9 @@ class Habitat {
   int walls_[kRoomCount][kRoomCount] = {};
   // hop path predecessor matrix for walk_path (next room from a toward b).
   RoomId next_hop_[kRoomCount][kRoomCount] = {};
+  // door_of_[a][b] = index in doors_ of the first door joining a and b, -1
+  // if none; find_door() is on the radio path of every badge-beacon link.
+  std::int8_t door_of_[kRoomCount][kRoomCount] = {};
 };
 
 }  // namespace hs::habitat

@@ -5,10 +5,8 @@
 
 namespace hs::habitat {
 
-double Propagation::mean_rssi(Vec2 tx, Vec2 rx) const {
+double Propagation::mean_rssi(Vec2 tx, RoomId room_tx, Vec2 rx, RoomId room_rx) const {
   const double d = std::max(0.5, distance(tx, rx));  // near-field clamp
-  const RoomId room_tx = habitat_->room_at(tx);
-  const RoomId room_rx = habitat_->room_at(rx);
   const int walls = habitat_->walls_between(room_tx, room_rx);
   double obstruction_db = static_cast<double>(walls) * params_.wall_loss_db;
   // Adjacent rooms with an endpoint inside the door aperture: the signal
@@ -20,10 +18,6 @@ double Propagation::mean_rssi(Vec2 tx, Vec2 rx) const {
   const double path_loss = params_.path_loss_1m_db +
                            10.0 * params_.path_loss_exponent * std::log10(d) + obstruction_db;
   return params_.tx_power_dbm - path_loss;
-}
-
-double Propagation::sample_rssi(Vec2 tx, Vec2 rx, Rng& rng) const {
-  return mean_rssi(tx, rx) + rng.normal(0.0, params_.shadow_sigma_db);
 }
 
 }  // namespace hs::habitat

@@ -43,10 +43,23 @@ class Propagation {
       : habitat_(&habitat), params_(params) {}
 
   /// Mean received power (dBm) between two points, no shadowing.
-  [[nodiscard]] double mean_rssi(Vec2 tx, Vec2 rx) const;
+  [[nodiscard]] double mean_rssi(Vec2 tx, Vec2 rx) const {
+    return mean_rssi(tx, habitat_->room_at(tx), rx, habitat_->room_at(rx));
+  }
+
+  /// mean_rssi(tx, rx) for a caller that already knows the endpoints'
+  /// rooms: `room_tx` and `room_rx` must be room_at(tx) and room_at(rx).
+  [[nodiscard]] double mean_rssi(Vec2 tx, RoomId room_tx, Vec2 rx, RoomId room_rx) const;
 
   /// One fading realization: mean_rssi + N(0, shadow_sigma).
-  [[nodiscard]] double sample_rssi(Vec2 tx, Vec2 rx, Rng& rng) const;
+  [[nodiscard]] double sample_rssi(Vec2 tx, Vec2 rx, Rng& rng) const {
+    return fade(mean_rssi(tx, rx), rng);
+  }
+
+  /// One fading realization around a known mean: mean + N(0, shadow_sigma).
+  [[nodiscard]] double fade(double mean_rssi_dbm, Rng& rng) const {
+    return mean_rssi_dbm + rng.normal(0.0, params_.shadow_sigma_db);
+  }
 
   /// Whether a sample at this power is decodable.
   [[nodiscard]] bool receivable(double rssi_dbm) const { return rssi_dbm >= params_.sensitivity_dbm; }

@@ -18,10 +18,10 @@ std::vector<BallotTally> tally_ballots(const std::map<ChunkKey, const MeshChunk*
     if (chunk->payload == nullptr) continue;
     if (chunk->kind == ChunkKind::kProposal) {
       ProposalItem item;
-      if (decode_proposal(*chunk->payload, item)) proposals.emplace(item.id, std::move(item));
+      if (decode_proposal(chunk->payload->bytes(), item)) proposals.emplace(item.id, std::move(item));
     } else if (chunk->kind == ChunkKind::kVote) {
       VoteItem vote;
-      if (decode_vote(*chunk->payload, vote)) votes.push_back({vote, key});
+      if (decode_vote(chunk->payload->bytes(), vote)) votes.push_back({vote, key});
     }
   }
 
@@ -50,7 +50,9 @@ std::vector<BallotTally> tally_ballots(const std::map<ChunkKey, const MeshChunk*
 
 std::vector<BallotTally> tally_ballots_at(const MeshNetwork& mesh, NodeId node, SimTime now) {
   std::map<ChunkKey, const MeshChunk*> store;
-  for (const auto& [key, chunk] : mesh.nodes().at(node).store()) store.emplace(key, &chunk);
+  mesh.nodes().at(node).for_each_chunk([&store](const MeshChunk& chunk) {
+    store.emplace_hint(store.end(), chunk.key, &chunk);
+  });
   return tally_ballots(store, now);
 }
 

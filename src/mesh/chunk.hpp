@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/records.hpp"
@@ -53,13 +54,35 @@ struct ChunkKey {
 /// building block of store digests.
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes);
 
+/// A chunk's immutable payload bytes and their FNV-1a hash, computed once
+/// when the payload is built. Every replica shares one Payload, so the
+/// integrity check on each insert compares two words instead of hashing
+/// the bytes again. The hash lives with the bytes, not in MeshChunk: a
+/// chunk that carries another chunk's payload still fails the check.
+class Payload {
+ public:
+  explicit Payload(std::vector<std::uint8_t> bytes)
+      : bytes_(std::move(bytes)), hash_(fnv1a(bytes_)) {}
+
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  [[nodiscard]] std::size_t size() const { return bytes_.size(); }
+  /// fnv1a(bytes()), fixed at construction.
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::uint64_t hash_;
+};
+
 struct MeshChunk {
   ChunkKey key;
   ChunkKind kind = ChunkKind::kRecords;
   /// Simulation instant the chunk was cut/published (reference timeline —
   /// nodes are wall-powered infrastructure with synchronized clocks).
   SimTime created_at = 0;
-  std::shared_ptr<const std::vector<std::uint8_t>> payload;
+  std::shared_ptr<const Payload> payload;
+  /// The checksum the chunk claims for its payload; a node stores the
+  /// chunk only if it equals the payload's own hash.
   std::uint64_t checksum = 0;
 
   [[nodiscard]] std::size_t payload_bytes() const { return payload ? payload->size() : 0; }
@@ -68,7 +91,8 @@ struct MeshChunk {
   [[nodiscard]] std::size_t wire_bytes() const { return 27 + payload_bytes(); }
 };
 
-/// Build a chunk (computes the checksum, wraps the payload for sharing).
+/// Build a chunk (wraps the payload for sharing, hashing it once, and
+/// sets the checksum to that hash).
 MeshChunk make_chunk(ChunkKey key, ChunkKind kind, SimTime created_at,
                      std::vector<std::uint8_t> payload);
 

@@ -32,20 +32,15 @@ bool SeqSet::insert(std::uint32_t seq) {
 
 std::size_t SeqSet::merge(const SeqSet& other) {
   std::size_t added = 0;
-  for (std::uint32_t s : other.missing_from(*this)) {
+  other.for_each_missing_from(*this, [this, &added](std::uint32_t s) {
     if (insert(s)) ++added;
-  }
+  });
   return added;
 }
 
 std::vector<std::uint32_t> SeqSet::missing_from(const SeqSet& other) const {
   std::vector<std::uint32_t> out;
-  for (std::uint32_t s = other.next(); s < next_; ++s) {
-    if (!other.contains(s)) out.push_back(s);
-  }
-  for (std::uint32_t e : extras_) {
-    if (e >= next_ && !other.contains(e)) out.push_back(e);
-  }
+  for_each_missing_from(other, [&out](std::uint32_t s) { out.push_back(s); });
   return out;
 }
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -39,6 +38,21 @@ class SeqSet {
   /// Sequence numbers present here but missing from `other`, ascending.
   [[nodiscard]] std::vector<std::uint32_t> missing_from(const SeqSet& other) const;
 
+  /// Call `visit(seq)` for each sequence number missing_from(other) would
+  /// return, in the same ascending order, without allocating. `visit` may
+  /// insert the visited seq (or any seq below it) into `other`: that never
+  /// changes whether a later, larger seq is missing, so the walk visits
+  /// exactly what missing_from(other) returned before the first call.
+  template <class Visit>
+  void for_each_missing_from(const SeqSet& other, Visit&& visit) const {
+    for (std::uint32_t s = other.next(); s < next_; ++s) {
+      if (!other.contains(s)) visit(s);
+    }
+    for (const std::uint32_t e : extras_) {
+      if (!other.contains(e)) visit(e);
+    }
+  }
+
   /// Union `other` into this set. Returns the number of sequence numbers
   /// newly added. Merge is commutative, associative and idempotent (it is
   /// a set union), which is what lets gossip converge in any exchange
@@ -51,9 +65,6 @@ class SeqSet {
   std::uint32_t next_ = 0;
   std::set<std::uint32_t> extras_;
 };
-
-/// Per-node version vector: origin -> held sequence set.
-using VersionVector = std::map<OriginId, SeqSet>;
 
 /// The peer node `node` gossips with on (round, draw), among `n` nodes.
 /// Pure function of its arguments; uniform over the other n-1 nodes.

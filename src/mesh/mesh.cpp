@@ -155,9 +155,8 @@ void MeshNetwork::exchange(MeshNode& a, MeshNode& b, SimTime now) {
   ++stats_.exchanges;
   if (metrics_.exchanges) metrics_.exchanges->inc();
   for (const MeshNode* side : {&a, &b}) {
-    for (const auto& [origin, held] : side->version_vector()) {
-      (void)origin;
-      const auto bytes = static_cast<std::int64_t>(2 + held.digest_bytes());
+    for (const OriginStore& e : side->version_vector()) {
+      const auto bytes = static_cast<std::int64_t>(2 + e.held.digest_bytes());
       stats_.digest_bytes += bytes;
       if (metrics_.digest_bytes) metrics_.digest_bytes->inc(static_cast<std::uint64_t>(bytes));
     }
@@ -165,17 +164,21 @@ void MeshNetwork::exchange(MeshNode& a, MeshNode& b, SimTime now) {
 
   const auto pull = [this, now](const MeshNode& src, MeshNode& dst) {
     const std::size_t n = nodes_.size();
-    for (const auto& [origin, held] : src.version_vector()) {
-      const auto it = dst.version_vector().find(origin);
-      const SeqSet& mine = it == dst.version_vector().end() ? kEmptySeqSet : it->second;
-      for (const std::uint32_t seq : held.missing_from(mine)) {
+    for (const OriginStore& held : src.version_vector()) {
+      const OriginId origin = held.origin;
+      // dst's entry for this origin is only ever inserted into below, never
+      // re-created, so the pointer stays valid through the walk; an origin
+      // dst does not know yet diffs against the empty set.
+      const OriginStore* mine = dst.held_entry(origin);
+      held.held.for_each_missing_from(mine == nullptr ? kEmptySeqSet : mine->held,
+                                      [&](std::uint32_t seq) {
         const ChunkKey key{origin, seq};
-        const MeshChunk* chunk = src.find(key);
-        if (chunk == nullptr) continue;  // src knows of it but declined the copy
+        const MeshChunk* chunk = src.find(held, seq);
+        if (chunk == nullptr) return;  // src knows of it but declined the copy
         if (config_.cap_replicas && chunk->kind == ChunkKind::kRecords &&
             !is_home(key, dst.id(), config_.replication_factor, n)) {
           dst.decline(key);
-          continue;
+          return;
         }
         if (dst.insert(*chunk)) {
           ++stats_.chunks_replicated;
@@ -197,7 +200,7 @@ void MeshNetwork::exchange(MeshNode& a, MeshNode& b, SimTime now) {
           }
           note_stored(key, now);
         }
-      }
+      });
     }
   };
   pull(a, b);
@@ -251,11 +254,10 @@ void MeshNetwork::set_node_down(NodeId id, bool down) {
   if (down == node.down()) return;
   if (down) {
     // The store is about to be wiped: those replicas no longer exist.
-    for (const auto& [key, chunk] : node.store()) {
-      (void)chunk;
-      auto it = traces_.find(key);
+    node.for_each_chunk([this](const MeshChunk& chunk) {
+      auto it = traces_.find(chunk.key);
       if (it != traces_.end() && it->second.replicas > 0) --it->second.replicas;
-    }
+    });
   }
   node.set_down(down);
 }
@@ -323,7 +325,7 @@ std::map<ChunkKey, const MeshChunk*> MeshNetwork::merged_store() const {
   std::map<ChunkKey, const MeshChunk*> merged;
   for (const auto& node : nodes_) {
     if (node.down()) continue;
-    for (const auto& [key, chunk] : node.store()) merged.emplace(key, &chunk);
+    node.for_each_chunk([&merged](const MeshChunk& chunk) { merged.emplace(chunk.key, &chunk); });
   }
   return merged;
 }

@@ -1,13 +1,44 @@
 #include "mesh/node.hpp"
 
+#include <algorithm>
+
 namespace hs::mesh {
+namespace {
+
+/// Slots added beyond the one an insert needs when an origin's slot array
+/// must grow: a fixed step, not doubling, so a node's slack stays at most
+/// one step per origin while growth reallocates once per step.
+constexpr std::size_t kSlotStep = 256;
+
+bool origin_less(const OriginStore& e, OriginId origin) { return e.origin < origin; }
+
+}  // namespace
+
+const OriginStore* MeshNode::held_entry(OriginId origin) const {
+  const auto it = std::lower_bound(vv_.begin(), vv_.end(), origin, origin_less);
+  return it != vv_.end() && it->origin == origin ? &*it : nullptr;
+}
+
+OriginStore& MeshNode::entry(OriginId origin) {
+  const auto it = std::lower_bound(vv_.begin(), vv_.end(), origin, origin_less);
+  if (it != vv_.end() && it->origin == origin) return *it;
+  return *vv_.insert(it, OriginStore{origin, {}, {}});
+}
 
 bool MeshNode::insert(const MeshChunk& chunk) {
   if (down_) return false;
-  if (chunk.payload == nullptr || fnv1a(*chunk.payload) != chunk.checksum) return false;
-  if (!vv_[chunk.key.origin].insert(chunk.key.seq)) return false;
+  if (chunk.payload == nullptr || chunk.payload->hash() != chunk.checksum) return false;
+  OriginStore& e = entry(chunk.key.origin);
+  if (!e.held.insert(chunk.key.seq)) return false;
   stored_bytes_ += static_cast<std::int64_t>(chunk.payload_bytes());
-  store_.emplace(chunk.key, chunk);
+  const std::size_t seq = chunk.key.seq;
+  if (seq >= e.slot.size()) {
+    if (seq >= e.slot.capacity()) e.slot.reserve(seq + 1 + kSlotStep);
+    e.slot.resize(seq + 1, 0);
+  }
+  if (!pool_) pool_.emplace();
+  pool_->push_back(chunk);
+  e.slot[seq] = static_cast<std::uint32_t>(pool_->size());
   return true;
 }
 
@@ -20,10 +51,10 @@ std::uint64_t MeshNode::store_digest() const {
       h *= 1099511628211ULL;
     }
   };
-  for (const auto& [key, chunk] : store_) {
-    eat((static_cast<std::uint64_t>(key.origin) << 32) | key.seq);
+  for_each_chunk([&eat](const MeshChunk& chunk) {
+    eat((static_cast<std::uint64_t>(chunk.key.origin) << 32) | chunk.key.seq);
     eat(chunk.checksum);
-  }
+  });
   return h;
 }
 
@@ -31,8 +62,8 @@ void MeshNode::set_down(bool down) {
   if (down == down_) return;
   down_ = down;
   if (down_) {
-    store_.clear();
     vv_.clear();
+    pool_.reset();
     stored_bytes_ = 0;
   }
 }

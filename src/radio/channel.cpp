@@ -5,8 +5,8 @@
 
 namespace hs::radio {
 
-std::optional<int> Channel::try_receive(Vec2 tx, Vec2 rx, Rng& rng) const {
-  const double rssi = prop_.sample_rssi(tx, rx, rng) - extra_loss_db_;
+std::optional<int> Channel::receive(double mean_rssi_dbm, Rng& rng) const {
+  const double rssi = prop_.fade(mean_rssi_dbm, rng) - extra_loss_db_;
   const double floor = prop_.params().sensitivity_dbm;
   if (rssi < floor) return std::nullopt;
   // Soft edge: frames within 3 dB of the floor still drop sometimes.

@@ -22,10 +22,25 @@ class Channel {
   /// Attempt to receive a single transmission. Returns the measured RSSI
   /// (dBm, quantized to integer as real radios report) or nullopt if the
   /// frame was not decodable.
-  std::optional<int> try_receive(Vec2 tx, Vec2 rx, Rng& rng) const;
+  std::optional<int> try_receive(Vec2 tx, Vec2 rx, Rng& rng) const {
+    return receive(prop_.mean_rssi(tx, rx), rng);
+  }
+
+  /// Attempt to receive a single transmission over a link whose mean RSSI
+  /// (mean_rssi() of its endpoints) is already known. Draws the same
+  /// random numbers, in the same order, as try_receive() on those
+  /// endpoints, so a caller sampling several frames over one link can
+  /// compute the mean once.
+  std::optional<int> receive(double mean_rssi_dbm, Rng& rng) const;
 
   /// Mean RSSI without fading (for tests and coverage analyses).
   [[nodiscard]] double mean_rssi(Vec2 tx, Vec2 rx) const { return prop_.mean_rssi(tx, rx); }
+  /// Mean RSSI between endpoints whose rooms the caller already knows
+  /// (`room_tx` == room_at(tx), `room_rx` == room_at(rx)).
+  [[nodiscard]] double mean_rssi(Vec2 tx, habitat::RoomId room_tx, Vec2 rx,
+                                 habitat::RoomId room_rx) const {
+    return prop_.mean_rssi(tx, room_tx, rx, room_rx);
+  }
 
   [[nodiscard]] const habitat::ChannelParams& params() const { return prop_.params(); }
 

@@ -59,9 +59,11 @@ class ThreadPool {
 /// (at least 1), anything else verbatim.
 [[nodiscard]] unsigned resolve_threads(unsigned requested);
 
-/// Run fn(0) ... fn(n-1), cooperatively on `pool` plus the calling thread.
-/// Runs serially (plain loop, in index order) when pool is null, has fewer
-/// than two workers, n < 2, or the caller is itself a pool worker (nested
+/// Run fn(0) ... fn(n-1), cooperatively on `pool` plus the calling thread:
+/// up to pool->size() + 1 bodies run at once, so a pool built with
+/// `threads = N` runs up to N + 1 (docs/CONCURRENCY.md). Runs serially
+/// (plain loop, in index order) when pool is null, has fewer than two
+/// workers, n < 2, or the caller is itself a pool worker (nested
 /// parallelism). Blocks until every started index finished; rethrows the
 /// lowest-index exception if any body threw, after cancelling un-started
 /// indices.

@@ -2,6 +2,11 @@
 // machine, sensor frames, scanning, and the badge network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "badge/badge.hpp"
 #include "badge/network.hpp"
 #include "beacon/beacon.hpp"
@@ -233,13 +238,13 @@ TEST_F(BadgeTest, ScanLogsSameRoomBeacons) {
   StaticWearer wearer(kitchen_);
   badge_.put_on(&wearer, 0);
   const auto beacons = beacon::deploy_lunares_beacons(habitat_);
-  std::vector<const beacon::Beacon*> candidates;
+  std::vector<beacon::AudibleBeacon> candidates;
   for (const auto& b : beacons) {
-    if (b.room == habitat::RoomId::kKitchen) candidates.push_back(&b);
+    if (b.room == habitat::RoomId::kKitchen) candidates.push_back({&b, b.room});
   }
   ASSERT_GE(candidates.size(), 2u);
   radio::Channel ble(habitat_, habitat::kBleChannel);
-  badge_.scan_beacons(0, candidates, ble, rng_);
+  badge_.scan_beacons(0, habitat::RoomId::kKitchen, candidates, ble, rng_);
   EXPECT_EQ(badge_.sd().beacon_obs().size(), candidates.size());
 }
 
@@ -291,6 +296,77 @@ TEST_F(NetworkTest, TickProducesScansForWornBadges) {
     }
   }
   EXPECT_GT(office_obs, static_cast<int>(badge->sd().beacon_obs().size() * 3 / 4));
+}
+
+// Every beacon layout a fleet campaign can deploy: the scan's cached
+// beacon room is the room the beacon's position lies in. The beacons axis
+// accepts 1..27, but deploy_lunares_beacons places at least one beacon in
+// each of its 9 rooms and does not return for counts below 9, so the
+// layouts that can run are 9..27.
+TEST(BeaconRooms, CachedRoomIsRoomAtForEveryFleetLayout) {
+  const habitat::Habitat habitat = habitat::Habitat::lunares();
+  const Vec2 station = habitat.room(habitat::RoomId::kBedroom).bounds.center();
+  for (int count = 9; count <= 27; ++count) {
+    const BadgeNetwork network(habitat, beacon::deploy_lunares_beacons(habitat, count), station);
+    std::size_t listed = 0;
+    for (const auto room : habitat::all_rooms()) {
+      for (const auto& a : network.candidates_for(room)) {
+        EXPECT_EQ(a.room, habitat.room_at(a.beacon->position)) << count << " beacons";
+        ++listed;
+      }
+    }
+    const auto& all = network.candidates_for(habitat::RoomId::kNone);
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(count));
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(all[i].beacon, &network.beacons()[i]);
+      EXPECT_EQ(all[i].room, habitat.room_at(network.beacons()[i].position)) << count;
+    }
+    EXPECT_GT(listed, 0u);
+  }
+}
+
+// The hoisted scan (one mean per beacon link, ads_per_scan fades around
+// it) logs exactly what per-advertisement try_receive calls logged, and
+// leaves the random stream in the same state.
+TEST_F(NetworkTest, ScanMatchesPerAdvertisementReception) {
+  const radio::Channel& ble = network_.channel(io::Band::kBle24);
+  Rng pick(5);
+  const habitat::Rect box = habitat_.bounding_box();
+  std::size_t logged = 0;
+  for (int i = 0; i < 150; ++i) {
+    Vec2 pos{pick.uniform(box.lo.x, box.hi.x), pick.uniform(box.lo.y, box.hi.y)};
+    if (i % 3 == 0) {  // a third near a door, where the aperture rule applies
+      const auto room = habitat::all_rooms()[static_cast<std::size_t>(i / 3) % 8 + 1];
+      pos = habitat_.door_between(habitat::RoomId::kAtrium, room) +
+            Vec2{pick.uniform(-0.9, 0.9), pick.uniform(-0.9, 0.9)};
+    }
+    StaticWearer wearer(pos);
+    Badge badge{0, timesync::DriftingClock(0, 0.0, 0), BadgeParams{}};
+    badge.put_on(&wearer, 0);
+    const habitat::RoomId room = habitat_.room_at(pos);
+    const auto& candidates = network_.candidates_for(room);
+
+    Rng oracle(100 + i);
+    std::vector<std::pair<io::BeaconId, int>> want;
+    for (const auto& a : candidates) {
+      std::optional<int> best;
+      for (int ad = 0; ad < badge.params().ads_per_scan; ++ad) {
+        if (const auto rssi = ble.try_receive(a.beacon->position, pos, oracle)) {
+          if (!best || *rssi > *best) best = *rssi;
+        }
+      }
+      if (best) want.emplace_back(a.beacon->id, std::clamp(*best, -127, 0));
+    }
+
+    Rng hoisted(100 + i);
+    badge.scan_beacons(0, room, candidates, ble, hoisted);
+    std::vector<std::pair<io::BeaconId, int>> got;
+    for (const auto& o : badge.sd().beacon_obs()) got.emplace_back(o.beacon, o.rssi_dbm);
+    EXPECT_EQ(want, got) << "badge at (" << pos.x << "," << pos.y << ")";
+    EXPECT_EQ(oracle.next_u64(), hoisted.next_u64());
+    logged += got.size();
+  }
+  EXPECT_GT(logged, 200u);
 }
 
 TEST_F(NetworkTest, ProximityPingsFlowBetweenNearbyBadges) {

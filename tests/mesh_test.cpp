@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/runner.hpp"
 #include "mesh/ballots.hpp"
@@ -149,6 +152,113 @@ TEST(MeshNode, InsertValidatesAndDownWipes) {
   EXPECT_FALSE(node.insert(chunk));  // dark nodes accept nothing
   node.set_down(false);
   EXPECT_TRUE(node.insert(chunk));  // anti-entropy can re-heal after power-up
+}
+
+// The integrity check compares a chunk's own checksum with the hash of the
+// payload it carries. That hash is computed once per payload object, so
+// this pins what it must be memoised on: the bytes, not the chunk.
+TEST(MeshNode, InsertRefusesAnotherChunksPayload) {
+  MeshNode node(0, Vec2{0, 0}, habitat::RoomId::kAtrium);
+  const auto a = make_chunk(ChunkKey{1, 0}, ChunkKind::kRecords, 0, {1, 2, 3});
+  auto swapped = make_chunk(ChunkKey{1, 1}, ChunkKind::kRecords, 0, {4, 5});
+  swapped.payload = a.payload;  // keeps its own checksum, carries a's bytes
+  EXPECT_FALSE(node.insert(swapped));
+  EXPECT_FALSE(node.has(swapped.key));
+  EXPECT_EQ(node.chunk_count(), 0u);
+
+  // The same chunk re-made from the same bytes: a new payload object whose
+  // hash matches, so it is accepted.
+  const auto remade = make_chunk(ChunkKey{1, 1}, ChunkKind::kRecords, 0, {4, 5});
+  EXPECT_NE(remade.payload, swapped.payload);
+  EXPECT_EQ(remade.checksum, fnv1a({4, 5}));
+  EXPECT_TRUE(node.insert(remade));
+
+  // A payload object swapped for another holding equal bytes is still the
+  // right payload.
+  auto rewrapped = a;
+  rewrapped.payload = make_chunk(ChunkKey{9, 9}, ChunkKind::kAlert, 5, {1, 2, 3}).payload;
+  EXPECT_TRUE(node.insert(rewrapped));
+  ASSERT_NE(node.find(a.key), nullptr);
+  EXPECT_EQ(node.find(a.key)->payload->bytes(), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(node.chunk_count(), 2u);
+}
+
+// The flat per-origin store against an ordered-map model: random inserts
+// and declines over sparse, out-of-order seqs of badge and node origins,
+// with power cycles in between.
+TEST(MeshNode, FlatStoreMatchesOrderedMapModel) {
+  const std::vector<OriginId> origins{7, 0, node_origin(27), 3, node_origin(2)};
+  Rng rng(4242);
+  MeshNode node(0, Vec2{0, 0}, habitat::RoomId::kAtrium);
+  std::map<ChunkKey, std::uint64_t> stored;  // key -> checksum
+  std::map<OriginId, std::set<std::uint32_t>> held;
+  for (int step = 0; step < 4000; ++step) {
+    if (step % 1500 == 1499) {
+      node.set_down(true);
+      node.set_down(false);
+      stored.clear();
+      held.clear();
+      continue;
+    }
+    const OriginId origin = origins[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+    // Mostly dense seqs near the front, some far out-of-order ones.
+    const auto seq = static_cast<std::uint32_t>(
+        rng.uniform() < 0.8 ? rng.uniform_int(0, 120) : rng.uniform_int(0, 900));
+    const ChunkKey key{origin, seq};
+    const bool fresh = held[origin].insert(seq).second;
+    if (rng.uniform() < 0.2) {
+      node.decline(key);
+      continue;
+    }
+    const auto payload = static_cast<std::uint8_t>(step);
+    const MeshChunk chunk = make_chunk(key, ChunkKind::kRecords, step, {payload, 1});
+    ASSERT_EQ(node.insert(chunk), fresh) << "step " << step;
+    if (fresh) stored.emplace(key, chunk.checksum);
+  }
+
+  ASSERT_EQ(node.chunk_count(), stored.size());
+  std::vector<std::pair<ChunkKey, std::uint64_t>> walked;
+  node.for_each_chunk([&](const MeshChunk& c) { walked.emplace_back(c.key, c.checksum); });
+  EXPECT_EQ(walked,
+            (std::vector<std::pair<ChunkKey, std::uint64_t>>(stored.begin(), stored.end())));
+  for (const OriginId origin : origins) {
+    for (std::uint32_t seq = 0; seq < 1000; ++seq) {
+      const ChunkKey key{origin, seq};
+      const auto it = stored.find(key);
+      const MeshChunk* c = node.find(key);
+      ASSERT_EQ(c != nullptr, it != stored.end()) << origin << "/" << seq;
+      if (c != nullptr) {
+        EXPECT_EQ(c->checksum, it->second);
+      }
+    }
+  }
+  // The version vector: one entry per known origin, ascending, holding
+  // stored and declined seqs alike.
+  std::vector<OriginId> vv_origins;
+  for (const OriginStore& e : node.version_vector()) {
+    vv_origins.push_back(e.origin);
+    const auto& model = held.at(e.origin);
+    EXPECT_EQ(e.held.size(), model.size());
+    for (const std::uint32_t seq : model) EXPECT_TRUE(e.held.contains(seq));
+  }
+  std::vector<OriginId> model_origins;
+  for (const auto& [origin, seqs] : held) {
+    if (!seqs.empty()) model_origins.push_back(origin);
+  }
+  EXPECT_EQ(vv_origins, model_origins);
+  // The digest folds the same ordered (key, checksum) sequence.
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto eat = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& [key, checksum] : stored) {
+    eat((static_cast<std::uint64_t>(key.origin) << 32) | key.seq);
+    eat(checksum);
+  }
+  EXPECT_EQ(node.store_digest(), h);
 }
 
 // ------------------------------------------- standalone mesh (no mission)

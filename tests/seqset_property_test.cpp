@@ -126,7 +126,7 @@ TEST(SeqSetPropertyTest, MergeIsIdempotent) {
 }
 
 TEST(SeqSetPropertyTest, MergeAgreesWithMissingFrom) {
-  // merge() is defined in terms of missing_from(); check the other
+  // merge() walks the seqs missing_from() lists; check the other
   // direction too: after a merge, nothing is missing either way between
   // the merged set and the union's other operand.
   Rng rng(99);
@@ -137,6 +137,27 @@ TEST(SeqSetPropertyTest, MergeAgreesWithMissingFrom) {
     merged.merge(b);
     EXPECT_TRUE(b.missing_from(merged).empty());
     EXPECT_TRUE(a.missing_from(merged).empty());
+  }
+}
+
+TEST(SeqSetPropertyTest, MissingWalkToleratesInsertsIntoTheOtherSet) {
+  // The gossip pull inserts each visited seq into the set it diffs
+  // against while the walk is running, unless the source holds no copy of
+  // that chunk. The walk must still visit exactly what missing_from()
+  // returned before it started, in the same order.
+  Rng rng(1234);
+  for (int round = 0; round < 200; ++round) {
+    const SeqSet src = random_seqset(rng, 70, 64);
+    SeqSet dst = random_seqset(rng, 40, 64);
+    const std::vector<std::uint32_t> want = src.missing_from(dst);
+    std::vector<std::uint32_t> visited;
+    src.for_each_missing_from(dst, [&](std::uint32_t s) {
+      visited.push_back(s);
+      if (rng.uniform() < 0.8) {
+        EXPECT_TRUE(dst.insert(s));
+      }
+    });
+    EXPECT_EQ(visited, want);
   }
 }
 
