@@ -19,6 +19,7 @@
 #include <thread>
 #include <utility>
 
+#include "analysis_digest.hpp"
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
 #include "scenario/scenario.hpp"
@@ -199,7 +200,7 @@ void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& ser
 /// The full matrix: the row-wise serial pipeline is the reference;
 /// row-wise parallel, columnar serial, and columnar parallel must each
 /// reproduce it bit-for-bit (which also makes them identical pairwise).
-void expect_identical(const Dataset& data) {
+void expect_identical(const Dataset& data, const char* golden = nullptr) {
   auto make = [&](unsigned threads, bool columnar) {
     PipelineOptions opts;
     opts.threads = threads;
@@ -207,6 +208,14 @@ void expect_identical(const Dataset& data) {
     return AnalysisPipeline(data, opts);
   };
   const AnalysisPipeline reference = make(1, false);
+  if (golden != nullptr) {
+    golden::expect_golden(golden, golden::analysis_digests(reference, 5));
+    if (std::getenv("HS_WRITE_GOLDEN") == nullptr) {
+      golden::expect_golden(golden, golden::analysis_digests(make(1, true), 5));
+      golden::expect_golden(golden, golden::analysis_digests(make(4, true), 5));
+      golden::expect_golden(golden, golden::analysis_digests(make(4, false), 5));
+    }
+  }
   {
     SCOPED_TRACE("row-wise threads=4");
     expect_pipelines_identical(data, reference, make(4, false));
@@ -222,11 +231,11 @@ void expect_identical(const Dataset& data) {
 }
 
 TEST(DeterminismTest, SerialAndParallelPipelinesAreBitIdenticalSeed42) {
-  expect_identical(run_icares_mission(42));
+  expect_identical(run_icares_mission(42), "analysis_seed42.txt");
 }
 
 TEST(DeterminismTest, SerialAndParallelPipelinesAreBitIdenticalSeed7) {
-  expect_identical(run_icares_mission(7));
+  expect_identical(run_icares_mission(7), "analysis_seed7.txt");
 }
 
 TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
@@ -398,7 +407,7 @@ TEST(DeterminismTest, FaultedMissionKeepsTheContract) {
   config.seed = 42;
   config.fault_plan = faults::FaultPlan::combined(42);
   MissionRunner runner(config);
-  expect_identical(runner.run());
+  expect_identical(runner.run(), "analysis_seed42_combined.txt");
 }
 
 }  // namespace
