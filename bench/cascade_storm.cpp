@@ -3,7 +3,7 @@
 //
 //   cascade_storm [habitats=16] [days=8] [seed=42]
 //
-// Phase 1 runs a storm campaign — every habitat under a cascade scenario
+// It runs a storm campaign — every habitat under a cascade scenario
 // (round-robin power-storm / generated, mixed fault presets riding
 // along) — twice: threads=1 (the serial reference) and threads=hardware,
 // timing each pass and printing habitats/sec plus fleet alerts/sec. The
@@ -12,55 +12,23 @@
 // (seed, graph, plan), so thread count may change wall-clock only); any
 // divergence prints the first differing line and exits non-zero, which
 // is what lets scripts/ci.sh run a small storm as a determinism smoke.
-//
-// Phase 2 runs one instrumented storm habitat and walks the causal trace
-// (obs::TraceIndex): for every raised alert with recorded evidence it
-// measures record -> raise latency — how long the support system took to
-// notice what the cascade did to the sensor fleet.
-#include <algorithm>
+// The record -> raise latency of a storm habitat is measured and gated by
+// bench/latency_paths (its "cascade-storm" scenario).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "core/runner.hpp"
+#include "bench_common.hpp"
 #include "fleet/fleet_runner.hpp"
-#include "mesh/read_view.hpp"
-#include "obs/trace_query.hpp"
-#include "scenario/scenario.hpp"
-#include "support/system.hpp"
+#include "support/alert.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace hs;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-void report_diff(const std::string& a, const std::string& b) {
-  std::size_t line = 1;
-  std::size_t from_a = 0;
-  std::size_t from_b = 0;
-  while (from_a < a.size() && from_b < b.size()) {
-    const std::size_t end_a = a.find('\n', from_a);
-    const std::size_t end_b = b.find('\n', from_b);
-    const std::string la = a.substr(from_a, end_a - from_a);
-    const std::string lb = b.substr(from_b, end_b - from_b);
-    if (la != lb) {
-      std::fprintf(stderr, "first diff at line %zu:\n  threads=1:  %s\n  threads=hw: %s\n", line,
-                   la.c_str(), lb.c_str());
-      return;
-    }
-    if (end_a == std::string::npos || end_b == std::string::npos) break;
-    from_a = end_a + 1;
-    from_b = end_b + 1;
-    ++line;
-  }
-  std::fprintf(stderr, "dumps diverge in length (%zu vs %zu bytes)\n", a.size(), b.size());
-}
+using bench::report_diff;
+using bench::seconds_since;
 
 double gauge_value(const obs::MetricsSnapshot& snap, const char* name) {
   const obs::SnapshotEntry* e = snap.find(name);
@@ -127,56 +95,5 @@ int main(int argc, char** argv) {
   }
   std::printf("# campaign dump byte-identical across thread counts (%zu bytes)\n",
               dumps[0].size());
-
-  // Phase 2: one instrumented storm habitat; walk the causal trace for
-  // record -> raise latencies (run_habitat's wiring, with the runner's
-  // tracer kept in hand).
-  fleet::HabitatSpec storm;
-  storm.seed = seed;
-  storm.days = days;
-  storm.cascade = "power-storm";
-  core::MissionRunner runner(fleet::make_mission_config(storm));
-  support::SupportSystem support;
-  support.set_metrics(&runner.metrics(), &runner.flight_recorder(), &runner.tracer());
-  const auto scen = scenario::scenario_preset(storm.cascade, storm.seed);
-  const auto expanded = scenario::expand_scenario(*scen, storm.seed);
-  if (!expanded.has_value()) {
-    std::fprintf(stderr, "cascade_storm: %s\n", expanded.error().message.c_str());
-    return 1;
-  }
-  runner.add_observer([&support, &expanded](const core::MissionView& view) {
-    if (view.now == 0 || view.now % kDay != 0) return;
-    expanded->coupling.apply_day(mission_day(view.now - 1), support.resources());
-    support.end_of_day(view.now);
-  });
-  runner.add_observer([&support](const core::MissionView& view) {
-    if (view.mesh == nullptr || view.now % minutes(5) != 0 || view.now == 0) return;
-    const mesh::MeshReadView mesh_view(*view.mesh);
-    for (const auto& health : mesh_view.health_snapshot(view.now, minutes(10))) {
-      support.ingest_badge(health);
-    }
-  });
-  (void)runner.run_days(storm.days);
-  std::printf("# storm habitat: %zu alerts raised\n", support.alerts().size());
-
-#if HS_OBS_ENABLED
-  // record -> raise per evidenced alert: the shared query-layer readout
-  // (bench/latency_paths regression-guards the same numbers).
-  const obs::TraceIndex index(runner.tracer().spans());
-  std::vector<double> latencies_s = index.path_latencies().record_to_raise_s;
-  if (latencies_s.empty()) {
-    std::printf("# record->raise latency: no alerts with recorded evidence\n");
-  } else {
-    std::sort(latencies_s.begin(), latencies_s.end());
-    double sum = 0.0;
-    for (const double v : latencies_s) sum += v;
-    std::printf("# record->raise latency over %zu evidenced alerts: "
-                "mean %.1fs, p50 %.1fs, max %.1fs\n",
-                latencies_s.size(), sum / static_cast<double>(latencies_s.size()),
-                latencies_s[latencies_s.size() / 2], latencies_s.back());
-  }
-#else
-  std::printf("# record->raise latency: n/a (HS_OBS_ENABLED=0)\n");
-#endif
   return 0;
 }

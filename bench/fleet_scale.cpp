@@ -1,6 +1,6 @@
 // fleet_scale: the campaign-mode throughput and determinism harness.
 //
-//   fleet_scale [--analyze] [habitats=200] [days=1] [seed=42] [dump.csv]
+//   fleet_scale [habitats=200] [days=1] [seed=42] [dump.csv]
 //
 // Runs one mixed campaign (crew sizes 6 and 5, three beacon densities,
 // fault presets from calm to combined chaos) twice — threads=1 (the
@@ -11,67 +11,27 @@
 // differing line and exits non-zero, so CI can run a small fleet as a
 // determinism smoke (scripts/ci.sh runs 8 habitats). An optional fourth
 // argument writes the (verified-identical) campaign dump to a file.
-//
-// --analyze additionally runs each habitat's offline analysis pipeline
-// (CampaignOptions::analyze) and times two more passes — row-wise and
-// columnar analysis at threads=1 — showing the fleet-level habitats/sec
-// win of the columnar RecordBatch layout (docs/PERFORMANCE.md). Those
-// two dumps must also be byte-identical: the columnar ≡ row-wise
-// contract, checked at fleet scale.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "bench_common.hpp"
 #include "fleet/fleet_runner.hpp"
 #include "util/thread_pool.hpp"
 
-namespace {
-
 using namespace hs;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-void report_diff(const std::string& a, const std::string& b) {
-  std::size_t line = 1;
-  std::size_t from_a = 0;
-  std::size_t from_b = 0;
-  while (from_a < a.size() && from_b < b.size()) {
-    const std::size_t end_a = a.find('\n', from_a);
-    const std::size_t end_b = b.find('\n', from_b);
-    const std::string la = a.substr(from_a, end_a - from_a);
-    const std::string lb = b.substr(from_b, end_b - from_b);
-    if (la != lb) {
-      std::fprintf(stderr, "first diff at line %zu:\n  threads=1:  %s\n  threads=hw: %s\n", line,
-                   la.c_str(), lb.c_str());
-      return;
-    }
-    if (end_a == std::string::npos || end_b == std::string::npos) break;
-    from_a = end_a + 1;
-    from_b = end_b + 1;
-    ++line;
-  }
-  std::fprintf(stderr, "dumps diverge in length (%zu vs %zu bytes)\n", a.size(), b.size());
-}
-
-}  // namespace
+using bench::report_diff;
+using bench::seconds_since;
 
 int main(int argc, char** argv) {
-  bool analyze = false;
-  if (argc > 1 && std::string(argv[1]) == "--analyze") {
-    analyze = true;
-    --argc;
-    ++argv;
-  }
   const int habitats = argc > 1 ? std::atoi(argv[1]) : 200;
   const int days = argc > 2 ? std::atoi(argv[2]) : 1;
   const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
   const char* dump_path = argc > 4 ? argv[4] : nullptr;
   if (habitats < 1 || days < 1) {
     std::fprintf(stderr,
-                 "usage: fleet_scale [--analyze] [habitats>=1] [days>=1] [seed] [dump.csv]\n");
+                 "usage: fleet_scale [habitats>=1] [days>=1] [seed] [dump.csv]\n");
     return 1;
   }
 
@@ -120,37 +80,6 @@ int main(int argc, char** argv) {
   std::printf("# campaign dump byte-identical across thread counts (%zu bytes)\n",
               dumps[0].size());
 
-  if (analyze) {
-    // Two more serial passes with per-habitat analysis: row-wise vs
-    // columnar. Equal dumps (including the rolled-up pipeline.* metrics
-    // and records_analyzed) are the fleet-level columnar ≡ row-wise
-    // contract; the habitats/sec delta is the fleet-level win.
-    std::string analyzed[2];
-    for (int pass = 0; pass < 2; ++pass) {
-      fleet::CampaignOptions options;
-      options.threads = 1;
-      options.analyze = true;
-      options.columnar = pass == 1;
-      const auto start = std::chrono::steady_clock::now();
-      auto result = fleet::run_campaign(spec, options);
-      const double wall = seconds_since(start);
-      if (!result.has_value()) {
-        std::fprintf(stderr, "fleet_scale: %s\n", result.error().message.c_str());
-        return 1;
-      }
-      analyzed[pass] = result->to_csv();
-      std::printf("%-12s %10.2f %14.2f %18.0f\n", pass == 0 ? "row-wise" : "columnar", wall,
-                  static_cast<double>(habitats) / wall,
-                  static_cast<double>(result->records_analyzed) / wall);
-    }
-    if (analyzed[0] != analyzed[1]) {
-      std::fprintf(stderr, "fleet_scale: campaign dump differs between row-wise and columnar\n");
-      report_diff(analyzed[0], analyzed[1]);
-      return 1;
-    }
-    std::printf("# analyzed campaign dump byte-identical row-wise vs columnar (%zu bytes)\n",
-                analyzed[0].size());
-  }
   if (dump_path != nullptr) {
     std::FILE* out = std::fopen(dump_path, "w");
     if (out == nullptr) {

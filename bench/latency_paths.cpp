@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
 #include "faults/fault_plan.hpp"
@@ -48,6 +49,7 @@
 namespace {
 
 using namespace hs;
+using bench::report_diff;
 
 constexpr const char* kScenarios[] = {"mesh-partition", "cascade-storm"};
 constexpr double kGateFactor = 1.10;  ///< >10 % p99 regression -> exit 2
@@ -130,23 +132,6 @@ double percentile(std::vector<double> values, double p) {
   const auto rank = static_cast<std::size_t>(
       std::ceil(p / 100.0 * static_cast<double>(values.size())));
   return values[std::min(values.size() - 1, rank > 0 ? rank - 1 : 0)];
-}
-
-void report_diff(const std::string& a, const std::string& b) {
-  std::istringstream ia(a);
-  std::istringstream ib(b);
-  std::string la;
-  std::string lb;
-  std::size_t line = 1;
-  while (std::getline(ia, la) && std::getline(ib, lb)) {
-    if (la != lb) {
-      std::fprintf(stderr, "first diff at line %zu:\n  threads=1:  %s\n  threads=hw: %s\n", line,
-                   la.c_str(), lb.c_str());
-      return;
-    }
-    ++line;
-  }
-  std::fprintf(stderr, "dumps diverge in length (%zu vs %zu bytes)\n", a.size(), b.size());
 }
 
 struct ScenarioStats {

@@ -55,20 +55,24 @@ void BM_RoomClassifier(benchmark::State& state) {
   const auto habitat = habitat::Habitat::lunares();
   const auto beacons = beacon::deploy_lunares_beacons(habitat);
   const locate::RoomClassifier classifier(beacons);
-  // One hour of 1 Hz scans hearing 4 beacons each.
-  std::vector<locate::TimedRssi> obs;
+  // One hour of 1 Hz scans hearing 4 beacons each, as the columns the
+  // pipeline hands the classifier.
+  std::vector<double> t_s;
+  std::vector<io::BeaconId> beacon;
+  std::vector<std::int8_t> rssi;
   Rng rng(2);
   for (int t = 0; t < 3600; ++t) {
     for (int b = 0; b < 4; ++b) {
-      obs.push_back(locate::TimedRssi{static_cast<double>(t),
-                                      static_cast<io::BeaconId>(rng.uniform_int(9, 11)),
-                                      static_cast<int>(rng.uniform_int(-70, -40))});
+      t_s.push_back(static_cast<double>(t));
+      beacon.push_back(static_cast<io::BeaconId>(rng.uniform_int(9, 11)));
+      rssi.push_back(static_cast<std::int8_t>(rng.uniform_int(-70, -40)));
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(classifier.classify(obs));
+    benchmark::DoNotOptimize(
+        classifier.classify(t_s.data(), beacon.data(), rssi.data(), t_s.size()));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(obs.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(t_s.size()));
 }
 BENCHMARK(BM_RoomClassifier);
 
@@ -76,31 +80,39 @@ void BM_Triangulate(benchmark::State& state) {
   const auto habitat = habitat::Habitat::lunares();
   const auto beacons = beacon::deploy_lunares_beacons(habitat);
   const locate::Triangulator tri(habitat, beacons);
-  std::vector<locate::TimedRssi> bin;
+  std::vector<io::BeaconId> beacon;
+  std::vector<std::int8_t> rssi;
   for (const auto& b : beacons) {
     if (b.room == habitat::RoomId::kKitchen) {
-      bin.push_back(locate::TimedRssi{0.0, b.id, -55});
+      beacon.push_back(b.id);
+      rssi.push_back(-55);
     }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tri.estimate(bin, habitat::RoomId::kKitchen));
+    benchmark::DoNotOptimize(
+        tri.estimate(beacon.data(), rssi.data(), beacon.size(), habitat::RoomId::kKitchen));
   }
 }
 BENCHMARK(BM_Triangulate);
 
 void BM_SpeechDetector(benchmark::State& state) {
   const dsp::SpeechDetector detector;
-  std::vector<dsp::TimedAudio> frames;
+  std::vector<double> t_s;
+  std::vector<float> level;
+  std::vector<float> voiced;
+  std::vector<float> f0;
   Rng rng(3);
   for (int t = 0; t < 3600; ++t) {
-    frames.push_back(dsp::TimedAudio{static_cast<double>(t),
-                                     static_cast<float>(rng.uniform(30.0, 70.0)),
-                                     static_cast<float>(rng.uniform(0.0, 1.0)), 120.0F});
+    t_s.push_back(static_cast<double>(t));
+    level.push_back(static_cast<float>(rng.uniform(30.0, 70.0)));
+    voiced.push_back(static_cast<float>(rng.uniform(0.0, 1.0)));
+    f0.push_back(120.0F);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.analyze(frames, 0.0));
+    benchmark::DoNotOptimize(
+        detector.analyze(t_s.data(), level.data(), voiced.data(), f0.data(), t_s.size(), 0.0));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frames.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(t_s.size()));
 }
 BENCHMARK(BM_SpeechDetector);
 

@@ -6,7 +6,7 @@
 namespace hs::beacon {
 
 std::vector<Beacon> deploy_lunares_beacons(const habitat::Habitat& habitat, int count) {
-  assert(count > 0);
+  assert(count >= 9);  // one beacon per covered room at least
   // Coverage plan: every room except the hangar gets beacons; bigger rooms
   // get more. Base allocation below sums to 27 for the Lunares layout
   // (the paper's count); other counts redistribute round-robin.

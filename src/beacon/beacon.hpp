@@ -36,6 +36,8 @@ struct AudibleBeacon {
 /// more in larger rooms, placed off-center for triangulation diversity.
 /// The hangar gets none (no badge coverage there, badges are not worn on
 /// EVA). Returns exactly `count` beacons (the paper used 27).
+/// Precondition: count >= 9 — every covered room keeps at least one
+/// beacon, so fewer than one per room cannot be placed.
 std::vector<Beacon> deploy_lunares_beacons(const habitat::Habitat& habitat, int count = 27);
 
 }  // namespace hs::beacon

@@ -8,8 +8,8 @@ std::vector<DayRun> day_runs(const double* t_s, std::size_t n) {
   std::vector<DayRun> runs;
   std::size_t begin = 0;
   while (begin < n) {
-    // Classify the run head with the exact per-record expression of the
-    // row-wise path, then extend while elements stay in [lo, hi)
+    // Classify the run head with mission_day(SimTime(t * 1e6)), then
+    // extend while elements stay in [lo, hi)
     // microseconds — for non-negative stamps that interval test equals
     // the truncating-cast classification, so the run boundary lands on
     // the identical record. Runs are maximal *consecutive* same-day
@@ -110,8 +110,7 @@ namespace {
 }
 
 // Local gather rows: only the field layout matters for the scatter; the
-// sort permutation depends solely on the t_s comparison outcomes, so these
-// need not be the row-wise pipeline's struct types to match its sorts.
+// sort permutation depends solely on the t_s comparison outcomes.
 struct ObsRow {
   double t_s;
   io::BeaconId beacon;

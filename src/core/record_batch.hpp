@@ -1,7 +1,7 @@
 // Columnar record batches: the struct-of-arrays form of one badge's
 // rectified, worn-filtered record streams.
 //
-// The row-wise pipeline pays three per-record costs in its hot loop: the
+// A per-record loop over row structs pays three costs per record: the
 // clock-rectify call, an ownership lookup (a linear scan over the
 // schedule), and a mission-day division. A RecordBatch restructures the
 // work so each cost is paid once per *column pass* or once per *badge-day
@@ -17,12 +17,12 @@
 // outlives it — shards copy the slices they keep (per-astronaut
 // contributions) before the arena dies. No cross-shard aliasing, ever.
 //
-// Determinism: every value in a column is produced by the *same scalar
-// expression* the row-wise path evaluates (`fit.rectify(t) / 1000.0`, the
-// same worn-interval cursor), in the same order, so columnar and row-wise
-// pipelines are bit-identical — tests/determinism_test.cpp and
-// tests/record_batch_test.cpp pin this for seeds 7/42 and for the edge
-// cases (empty badge-day, single record, day straddle, NaN features).
+// Determinism: every value in a column is produced by one fixed scalar
+// expression (`fit.rectify(t) / 1000.0` behind the worn-interval cursor),
+// in card order. tests/determinism_test.cpp pins the resulting artifacts
+// against golden digests for seeds 7/42, and tests/record_batch_test.cpp
+// checks the pipeline against brute-force oracles on the edge cases
+// (empty badge-day, single record, day straddle, NaN features).
 #pragma once
 
 #include <cstddef>
@@ -116,17 +116,16 @@ struct DayRun {
 };
 
 /// Split a rectified-seconds column into mission-day runs with a single
-/// linear scan that classifies each record by the *exact* expression the
-/// row-wise path evaluates, so run boundaries match the scalar
-/// classification bit-for-bit — including records that straddle midnight
-/// with sub-microsecond fractions. Runs are maximal consecutive same-day
+/// linear scan that classifies each record exactly as
+/// mission_day(SimTime(t * 1e6)) does, so run boundaries match that
+/// per-record classification bit-for-bit — including records that
+/// straddle midnight with sub-microsecond fractions. Runs are maximal consecutive same-day
 /// stretches; no sortedness is assumed (an out-of-order stamp yields an
 /// extra run, never a misclassified record).
 [[nodiscard]] std::vector<DayRun> day_runs(const double* t_s, std::size_t n);
 
 /// Sorted-interval membership test with a moving cursor, for streams
-/// processed in time order. Shared by the row-wise attribute loop and
-/// RecordBatch::build so both paths apply the identical worn filter.
+/// processed in time order — RecordBatch::build's worn filter.
 class IntervalCursor {
  public:
   explicit IntervalCursor(const std::vector<std::pair<double, double>>& intervals)
@@ -184,17 +183,14 @@ struct RecordBatch {
   /// Build the batch for one badge: rectify every beacon/audio/motion
   /// record with `fit`, keep only records inside the sorted `worn`
   /// intervals, write the survivors into arena-backed columns in card
-  /// order, and compute each stream's day runs. The per-record work is
-  /// exactly the row-wise attribute loop's (same rectify expression, same
-  /// cursor), so the kept set and every stored value are bit-identical.
+  /// order, and compute each stream's day runs.
   [[nodiscard]] static RecordBatch build(io::BadgeId badge, const badge::SdCard& card,
                                          const timesync::ClockFit& fit,
                                          const std::vector<std::pair<double, double>>& worn,
                                          ColumnArena& arena);
 };
 
-/// Growable per-astronaut column buffers: the columnar counterpart of the
-/// pipeline's row-wise per-person record vectors. The attribute stage
+/// Growable per-astronaut column buffers. The attribute stage
 /// appends day-run slices from several badges' batches (the day-9 swap, F
 /// reusing C's badge), the derive stage sorts them by time.
 struct PersonColumns {
@@ -221,12 +217,12 @@ struct PersonColumns {
 /// and std::sort would return the input unchanged — skipping it is
 /// bit-identical, and the common case when one badge feeds the astronaut
 /// (streams are recorded in time order and a monotone fit keeps them that
-/// way). Any inversion or tie gathers the group into the same row structs
-/// the row-wise path sorts, runs the same std::sort on the same values —
-/// std::sort's tie order (several beacons heard in the same scan share a
-/// timestamp) is unspecified-but-deterministic, a pure function of the
-/// comparison outcomes — and scatters the permutation back, which is what
-/// keeps columnar ≡ row-wise bit-identical.
+/// way). Any inversion or tie gathers the group into row structs, runs
+/// std::sort by time and scatters the permutation back. std::sort's tie
+/// order (several beacons heard in the same scan share a timestamp) is
+/// unspecified but deterministic, a pure function of the comparison
+/// outcomes; the golden artifact digests pin it, so replacing the sort
+/// (say, with a stable one) moves them.
 void sort_columns(PersonColumns& pc);
 
 }  // namespace hs::core

@@ -37,14 +37,6 @@ struct SpeechInterval {
   friend bool operator==(const SpeechInterval&, const SpeechInterval&) = default;
 };
 
-/// Audio frame on the rectified (reference) timeline.
-struct TimedAudio {
-  double t_s = 0.0;
-  float level_db = 0.0F;
-  float voiced_fraction = 0.0F;
-  float f0_hz = 0.0F;
-};
-
 /// Speaker voice classification from the dominant fundamental frequency —
 /// the paper's microphone frontend identifies "the speaker during a
 /// multi-person conversation" and distinguishes "between male and female
@@ -67,20 +59,13 @@ class SpeechDetector {
  public:
   explicit SpeechDetector(SpeechParams params = {}) : params_(params) {}
 
-  /// Frame-level predicate.
-  [[nodiscard]] bool frame_voiced(const TimedAudio& frame) const;
-
-  /// Segment a time-sorted frame stream into consecutive intervals aligned
-  /// to interval_s boundaries relative to origin t0_s. Intervals with no
-  /// frames at all (badge inactive) are omitted.
-  [[nodiscard]] std::vector<SpeechInterval> analyze(const std::vector<TimedAudio>& frames,
-                                                    double t0_s) const;
-
-  /// Columnar analyze over contiguous feature columns (a RecordBatch or
-  /// PersonColumns slice). The voiced predicate is evaluated as a SIMD
-  /// mask (util/simd.hpp, exact against the scalar promotion rules) and
-  /// the interval fold is the same code as the row-wise overload, so the
-  /// output is bit-identical for equal inputs.
+  /// Segment a time-sorted frame stream, given as contiguous feature
+  /// columns (a RecordBatch or PersonColumns slice), into consecutive
+  /// intervals aligned to interval_s boundaries relative to origin t0_s.
+  /// Intervals with no frames at all (badge inactive) are omitted. A frame
+  /// is voiced when voiced_fraction >= min_voiced_fraction and level_db >=
+  /// min_level_db, both compared in double (NaN never counts); the
+  /// predicate runs as an exact SIMD mask (util/simd.hpp).
   [[nodiscard]] std::vector<SpeechInterval> analyze(const double* t_s, const float* level_db,
                                                     const float* voiced_fraction,
                                                     const float* f0_hz, std::size_t n,

@@ -115,8 +115,10 @@ Status CampaignSpec::validate() const {
     }
   }
   for (const int b : beacons) {
-    if (b < 1 || b > 27) {
-      return Error{"campaign: beacons must be in [1, 27], got " + std::to_string(b)};
+    if (b < 9 || b > 27) {
+      return Error{"campaign: beacons must be in [9, 27] (the layout puts at least one beacon "
+                   "in each of the 9 covered rooms), got " +
+                   std::to_string(b)};
     }
   }
   for (const int s : trace_sample) {

@@ -131,7 +131,6 @@ HabitatSummary run_habitat(const HabitatSpec& spec, const CampaignOptions& optio
     // after — carries them Earth-side.
     core::PipelineOptions popts;
     popts.threads = 1;
-    popts.columnar = options.columnar;
     popts.metrics = &runner.metrics();
     const core::AnalysisPipeline pipeline(dataset, popts);
     summary.records_analyzed =

@@ -36,10 +36,10 @@ struct CampaignOptions {
   /// default: analysis multiplies per-habitat cost and campaign studies
   /// usually only need the mission-side telemetry.
   bool analyze = false;
-  /// Columnar (RecordBatch) or row-wise analysis when `analyze` is set;
-  /// both produce bit-identical summaries (the PipelineOptions::columnar
-  /// contract), so this is a perf knob bench/fleet_scale flips to measure
-  /// the fleet-level win.
+  /// Read by nothing: the analysis has one (columnar) path. Still
+  /// declared only because the benchmark harness (perfbench/traced.cpp)
+  /// copies it into PipelineOptions::columnar; it goes with that
+  /// assignment in the next benchmark change.
   bool columnar = true;
 };
 

@@ -1,8 +1,6 @@
 #include "locate/room_classifier.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 namespace hs::locate {
 
@@ -18,15 +16,9 @@ habitat::RoomId RoomClassifier::room_of_beacon(io::BeaconId id) const {
   return id < beacon_rooms_.size() ? beacon_rooms_[id] : habitat::RoomId::kNone;
 }
 
-namespace {
-
-/// The binning loop shared by the row-wise and columnar classify()
-/// overloads: one implementation, two observation accessors, so the two
-/// paths are bit-identical by construction.
-template <typename TimeAt, typename RssiAt, typename BeaconAt>
-std::vector<RoomStay> classify_stream(const RoomClassifier& classifier,
-                                      const ClassifierParams& params, std::size_t n,
-                                      TimeAt time_at, RssiAt rssi_at, BeaconAt beacon_at) {
+std::vector<RoomStay> RoomClassifier::classify(const double* t_s, const io::BeaconId* beacon,
+                                               const std::int8_t* rssi_dbm,
+                                               std::size_t n) const {
   std::vector<RoomStay> stays;
   if (n == 0) return stays;
 
@@ -35,23 +27,30 @@ std::vector<RoomStay> classify_stream(const RoomClassifier& classifier,
   };
 
   std::size_t i = 0;
-  double last_fix_end = time_at(0);
+  double last_fix_end = t_s[0];
   while (i < n) {
     // Collect one bin of observations.
-    const double bin_start = time_at(i);
-    const double bin_end = bin_start + params.bin_s;
+    const double bin_start = t_s[i];
+    const double bin_end = bin_start + params_.bin_s;
     int best_rssi = -1000;
     habitat::RoomId best_room = habitat::RoomId::kNone;
-    while (i < n && time_at(i) < bin_end) {
-      if (rssi_at(i) > best_rssi) {
-        best_rssi = rssi_at(i);
-        best_room = classifier.room_of_beacon(beacon_at(i));
+    const std::size_t begin = i;
+    while (i < n && t_s[i] < bin_end) {
+      if (rssi_dbm[i] > best_rssi) {
+        best_rssi = rssi_dbm[i];
+        best_room = room_of_beacon(beacon[i]);
       }
       ++i;
     }
+    if (i == begin) {
+      // A NaN timestamp fails its own bin predicate; skip the record or
+      // no progress is made.
+      ++i;
+      continue;
+    }
     if (best_room == habitat::RoomId::kNone) continue;
 
-    const bool gap_too_long = bin_start - last_fix_end > params.gap_carry_s;
+    const bool gap_too_long = bin_start - last_fix_end > params_.gap_carry_s;
     if (!stays.empty() && stays.back().room == best_room && !gap_too_long) {
       stays.back().end_s = bin_end;  // extend current stay (bridging small gaps)
     } else {
@@ -61,24 +60,6 @@ std::vector<RoomStay> classify_stream(const RoomClassifier& classifier,
     last_fix_end = bin_end;
   }
   return stays;
-}
-
-}  // namespace
-
-std::vector<RoomStay> RoomClassifier::classify(const std::vector<TimedRssi>& obs) const {
-  return classify_stream(
-      *this, params_, obs.size(), [&](std::size_t i) { return obs[i].t_s; },
-      [&](std::size_t i) { return obs[i].rssi_dbm; },
-      [&](std::size_t i) { return obs[i].beacon; });
-}
-
-std::vector<RoomStay> RoomClassifier::classify(const double* t_s, const io::BeaconId* beacon,
-                                               const std::int8_t* rssi_dbm,
-                                               std::size_t n) const {
-  return classify_stream(
-      *this, params_, n, [&](std::size_t i) { return t_s[i]; },
-      [&](std::size_t i) { return static_cast<int>(rssi_dbm[i]); },
-      [&](std::size_t i) { return beacon[i]; });
 }
 
 std::vector<RoomStay> filter_short_stays(const std::vector<RoomStay>& stays, double min_dwell_s) {

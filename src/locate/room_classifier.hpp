@@ -18,14 +18,6 @@
 
 namespace hs::locate {
 
-/// One rectified beacon observation (timestamps in seconds on the
-/// reference timeline — see hs::timesync).
-struct TimedRssi {
-  double t_s = 0.0;
-  io::BeaconId beacon = 0;
-  int rssi_dbm = -127;
-};
-
 /// A contiguous stay in one room, [start_s, end_s).
 struct RoomStay {
   habitat::RoomId room = habitat::RoomId::kNone;
@@ -48,15 +40,11 @@ class RoomClassifier {
   explicit RoomClassifier(const std::vector<beacon::Beacon>& beacons,
                           ClassifierParams params = {});
 
-  /// Classify a time-sorted observation stream into room stays.
-  /// Bins with no audible beacon within gap_carry_s of the last fix close
-  /// the current stay (the badge is off / out of coverage, e.g. hangar).
-  [[nodiscard]] std::vector<RoomStay> classify(const std::vector<TimedRssi>& obs) const;
-
-  /// Columnar classify over contiguous columns (a RecordBatch or
-  /// PersonColumns slice): the same binning loop as the row-wise
-  /// overload (shared implementation), so the stays are bit-identical
-  /// for equal inputs.
+  /// Classify a time-sorted observation stream — contiguous columns of
+  /// rectified seconds, beacon ids and RSSI (a RecordBatch or
+  /// PersonColumns slice) — into room stays. Bins with no audible beacon
+  /// within gap_carry_s of the last fix close the current stay (the badge
+  /// is off / out of coverage, e.g. hangar).
   [[nodiscard]] std::vector<RoomStay> classify(const double* t_s, const io::BeaconId* beacon,
                                                const std::int8_t* rssi_dbm,
                                                std::size_t n) const;

@@ -6,12 +6,10 @@
 // sensors of a badge" because of dense beacon placement; a weighted
 // centroid reproduces that behaviour and degrades gracefully with noise.
 //
-// Two entry points share one binning/centroid implementation: the
-// row-wise fixes() over TimedRssi vectors (the reference path) and the
-// column-slice overload over (t_s, beacon, rssi) arrays a RecordBatch or
-// PersonColumns provides — so fig3 never has to materialize row structs
-// out of the columns, and the two paths are bit-identical by
-// construction (docs/PERFORMANCE.md, "Artifact layer").
+// Both entry points take (t_s, beacon, rssi) column slices, the arrays a
+// RecordBatch or PersonColumns provides, so fig3 never has to
+// materialize row structs out of the columns (docs/PERFORMANCE.md,
+// "Artifact layer").
 #pragma once
 
 #include <array>
@@ -40,38 +38,22 @@ class Triangulator {
   Triangulator(const habitat::Habitat& habitat, const std::vector<beacon::Beacon>& beacons,
                double bin_s = 1.0);
 
-  /// Estimate positions for each bin of the observation stream, using the
-  /// given room track to restrict to same-room beacons (cross-room leaks
-  /// would otherwise drag the centroid through walls).
-  [[nodiscard]] std::vector<PositionFix> fixes(const std::vector<TimedRssi>& obs,
-                                               const std::vector<RoomStay>& track) const;
-
-  /// Column-slice fixes over contiguous observation columns (the same
-  /// binning loop as the row-wise overload, shared implementation, so the
-  /// fixes are bit-identical for equal inputs). RSSI weights come from a
-  /// 256-entry pow table — int8 has only 256 values and std::pow is a
-  /// pure function, so the table entries equal the per-record pow calls
-  /// the row-wise path makes, bit for bit.
+  /// Estimate positions for each bin of the observation stream (columns
+  /// of rectified seconds, beacon ids and RSSI), using the given room
+  /// track to restrict to same-room beacons (cross-room leaks would
+  /// otherwise drag the centroid through walls).
   [[nodiscard]] std::vector<PositionFix> fixes(const double* t_s, const io::BeaconId* beacon,
                                                const std::int8_t* rssi_dbm, std::size_t n,
                                                const std::vector<RoomStay>& track) const;
 
-  /// Single-bin estimate from simultaneous observations restricted to
-  /// `room`; returns fix at the room centre when no same-room beacon heard.
-  [[nodiscard]] Vec2 estimate(const std::vector<TimedRssi>& bin_obs, habitat::RoomId room) const;
+  /// Single-bin estimate from `n` simultaneous observations restricted to
+  /// `room`; returns the room centre when no same-room beacon is heard.
+  /// RSSI weights 10^(rssi/10) come from a 256-entry table — int8 has
+  /// only 256 values, and the table holds exactly what std::pow returns.
+  [[nodiscard]] Vec2 estimate(const io::BeaconId* beacon, const std::int8_t* rssi_dbm,
+                              std::size_t n, habitat::RoomId room) const;
 
  private:
-  template <typename TimeAt, typename BeaconAt, typename RssiAt>
-  [[nodiscard]] std::vector<PositionFix> fixes_impl(std::size_t n, TimeAt time_at,
-                                                    BeaconAt beacon_at, RssiAt rssi_at,
-                                                    const std::vector<RoomStay>& track) const;
-  template <typename BeaconAt, typename RssiAt>
-  [[nodiscard]] Vec2 estimate_range(std::size_t begin, std::size_t end, BeaconAt beacon_at,
-                                    RssiAt rssi_at, habitat::RoomId room) const;
-  /// pow(10, rssi/10) for every int8 RSSI; out-of-range (row-wise int
-  /// observations from hand-built tests) falls back to the live pow call.
-  [[nodiscard]] double weight_of(int rssi_dbm) const;
-
   const habitat::Habitat* habitat_;
   std::vector<beacon::Beacon> beacons_;  // indexed lookup by id below
   std::vector<std::size_t> index_;       // BeaconId -> index into beacons_

@@ -7,13 +7,12 @@
 // for under a grace period) do not split a meeting. Speech enrichment then
 // attaches loudness and talk shares from the badges' audio features.
 //
-// Two implementations per entry point (docs/PERFORMANCE.md, "Artifact
-// layer"): the view-based fast path works over spans of per-astronaut
-// tracks/intervals — a flat astronaut-major room raster whose per-room
-// membership counts vectorize with the exact util::simd byte kernel, and
-// a sort-based slot grouping for speech — and the *_rowwise functions
-// keep the original per-second/std::map formulations compiled as the
-// bit-identical reference the equivalence tests pin against.
+// Both entry points work over spans of per-astronaut tracks/intervals
+// (docs/PERFORMANCE.md, "Artifact layer"): a flat astronaut-major room
+// raster whose per-room membership counts vectorize with the exact
+// util::simd byte kernel, and a sort-based slot grouping for speech.
+// tests/meetings_property_test.cpp checks both against brute-force
+// oracles that share no code with this file.
 #pragma once
 
 #include <cstddef>
@@ -53,15 +52,8 @@ struct MeetingParams {
                                                    double t0_s, double t1_s,
                                                    MeetingParams params = {});
 
-/// Convenience overload over owned tracks; forwards to the view fast path.
+/// Convenience overload over owned tracks; forwards to the view path.
 [[nodiscard]] std::vector<Meeting> detect_meetings(
-    const std::vector<std::vector<locate::RoomStay>>& tracks, double t0_s, double t1_s,
-    MeetingParams params = {});
-
-/// Reference formulation (row-major per-second raster, per-cell scalar
-/// counts). Kept compiled so tests can pin detect_meetings against it;
-/// not for production callers.
-[[nodiscard]] std::vector<Meeting> detect_meetings_rowwise(
     const std::vector<std::vector<locate::RoomStay>>& tracks, double t0_s, double t1_s,
     MeetingParams params = {});
 
@@ -79,13 +71,8 @@ struct MeetingDynamics {
 [[nodiscard]] MeetingDynamics analyze_meeting(const Meeting& meeting,
                                               std::span<const SpeechView> speech);
 
-/// Convenience overload over owned intervals; forwards to the view fast path.
+/// Convenience overload over owned intervals; forwards to the view path.
 [[nodiscard]] MeetingDynamics analyze_meeting(
-    const Meeting& meeting, const std::vector<std::vector<dsp::SpeechInterval>>& speech);
-
-/// Reference formulation (std::map slot grouping). Kept compiled so tests
-/// can pin analyze_meeting against it; not for production callers.
-[[nodiscard]] MeetingDynamics analyze_meeting_rowwise(
     const Meeting& meeting, const std::vector<std::vector<dsp::SpeechInterval>>& speech);
 
 /// Total pairwise meeting seconds (i and j attending the same meeting),

@@ -300,9 +300,8 @@ TEST_F(NetworkTest, TickProducesScansForWornBadges) {
 
 // Every beacon layout a fleet campaign can deploy: the scan's cached
 // beacon room is the room the beacon's position lies in. The beacons axis
-// accepts 1..27, but deploy_lunares_beacons places at least one beacon in
-// each of its 9 rooms and does not return for counts below 9, so the
-// layouts that can run are 9..27.
+// accepts 9..27: deploy_lunares_beacons places at least one beacon in each
+// of its 9 covered rooms.
 TEST(BeaconRooms, CachedRoomIsRoomAtForEveryFleetLayout) {
   const habitat::Habitat habitat = habitat::Habitat::lunares();
   const Vec2 station = habitat.room(habitat::RoomId::kBedroom).bounds.center();

@@ -1,20 +1,21 @@
-// Serial ≡ parallel ≡ columnar: the pipeline's contract is that
-// PipelineOptions::threads and PipelineOptions::columnar change
-// wall-clock time only. This suite runs the full 14-day mission on two
-// seeds and demands bit-identical output — every figure, table,
-// statistic, and intermediate product — across the four configurations
-// {row-wise, columnar} x {threads=1, threads=4}, with the row-wise
-// serial pipeline as the reference.
+// Serial ≡ parallel ≡ history: the pipeline's contract is that
+// PipelineOptions::threads changes wall-clock time only. This suite runs
+// the full 14-day mission on two seeds and demands bit-identical output —
+// every figure, table, statistic, and intermediate product — between
+// threads=1 and threads=4, and checks both against the golden artifact
+// digests in tests/golden (tests/analysis_digest.hpp), so a change that
+// moves any artifact is caught even when it moves serial and parallel
+// alike.
 //
 // Exact floating-point equality is intentional: every shard writes only
 // its own slot and every cross-shard fold happens serially in a fixed
-// order (see docs/CONCURRENCY.md), the columnar path evaluates every
-// predicate with the same promotions as the row-wise code (see
-// docs/PERFORMANCE.md), so there is no legitimate source of divergence.
-// A tolerance here would only hide a broken shard boundary or an inexact
-// SIMD kernel.
+// order (see docs/CONCURRENCY.md), and the SIMD kernels are exact
+// against the scalar promotion rules (see docs/PERFORMANCE.md), so there
+// is no legitimate source of divergence. A tolerance here would only
+// hide a broken shard boundary or an inexact SIMD kernel.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -44,10 +45,8 @@ struct MissionDumps {
 /// Run the full mission and the analysis (which folds its pipeline.*
 /// metrics and trace spans into the same registry/tracer), then dump
 /// every deterministic text export. The obs contract: each string is a
-/// pure function of (seed, plan, threads, columnar) — and independent
-/// of `threads` and `columnar` entirely.
-MissionDumps mission_dumps(std::uint64_t seed, faults::FaultPlan plan, unsigned threads,
-                           bool columnar) {
+/// pure function of (seed, plan) — independent of `threads` entirely.
+MissionDumps mission_dumps(std::uint64_t seed, faults::FaultPlan plan, unsigned threads) {
   MissionConfig config;
   config.seed = seed;
   config.fault_plan = std::move(plan);
@@ -66,7 +65,6 @@ MissionDumps mission_dumps(std::uint64_t seed, faults::FaultPlan plan, unsigned 
   const Dataset data = runner.run();
   PipelineOptions opts;
   opts.threads = threads;
-  opts.columnar = columnar;
   opts.metrics = &runner.metrics();
   opts.tracer = &runner.tracer();
   const AnalysisPipeline pipeline(data, opts);
@@ -88,8 +86,7 @@ void expect_same_series(const AnalysisPipeline::DailySeries& a,
 }
 
 /// Demand bit-identical output from two pipelines over the same dataset.
-/// `serial` is the reference configuration, `parallel` the one under test
-/// (any threads/columnar combination).
+/// `serial` is the reference configuration, `parallel` the one under test.
 void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& serial,
                                 const AnalysisPipeline& parallel) {
   // Intermediate products: clock fits, tracks, speech intervals.
@@ -177,10 +174,8 @@ void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& ser
   }
   EXPECT_EQ(serial.voice_census(), parallel.voice_census());
 
-  // Meetings and their speech dynamics (day 5, mid-mission): row mode
-  // runs the row-wise reference formulations, columnar mode the raster/
-  // merge fast paths over borrowed views — the artifact-layer port's
-  // equivalence pin (docs/PERFORMANCE.md, "Artifact layer").
+  // Meetings and their speech dynamics (day 5, mid-mission; the golden
+  // digests cover every day).
   const auto ms = serial.meetings_on(5);
   const auto mp = parallel.meetings_on(5);
   ASSERT_EQ(ms.size(), mp.size());
@@ -197,37 +192,23 @@ void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& ser
   }
 }
 
-/// The full matrix: the row-wise serial pipeline is the reference;
-/// row-wise parallel, columnar serial, and columnar parallel must each
-/// reproduce it bit-for-bit (which also makes them identical pairwise).
-void expect_identical(const Dataset& data, const char* golden = nullptr) {
-  auto make = [&](unsigned threads, bool columnar) {
+/// The serial pipeline is the reference: the threads=4 pipeline must
+/// reproduce it bit for bit, and both must match the golden digests in
+/// `golden` (a file under tests/golden) — fig5 for day 5, meetings and
+/// their dynamics for every day.
+void expect_identical(const Dataset& data, const char* golden) {
+  auto make = [&](unsigned threads) {
     PipelineOptions opts;
     opts.threads = threads;
-    opts.columnar = columnar;
     return AnalysisPipeline(data, opts);
   };
-  const AnalysisPipeline reference = make(1, false);
-  if (golden != nullptr) {
-    golden::expect_golden(golden, golden::analysis_digests(reference, 5));
-    if (std::getenv("HS_WRITE_GOLDEN") == nullptr) {
-      golden::expect_golden(golden, golden::analysis_digests(make(1, true), 5));
-      golden::expect_golden(golden, golden::analysis_digests(make(4, true), 5));
-      golden::expect_golden(golden, golden::analysis_digests(make(4, false), 5));
-    }
+  const AnalysisPipeline serial = make(1);
+  const AnalysisPipeline parallel = make(4);
+  golden::expect_golden(golden, golden::analysis_digests(serial, 5));
+  if (std::getenv("HS_WRITE_GOLDEN") == nullptr) {
+    golden::expect_golden(golden, golden::analysis_digests(parallel, 5));
   }
-  {
-    SCOPED_TRACE("row-wise threads=4");
-    expect_pipelines_identical(data, reference, make(4, false));
-  }
-  {
-    SCOPED_TRACE("columnar threads=1");
-    expect_pipelines_identical(data, reference, make(1, true));
-  }
-  {
-    SCOPED_TRACE("columnar threads=4");
-    expect_pipelines_identical(data, reference, make(4, true));
-  }
+  expect_pipelines_identical(data, serial, parallel);
 }
 
 TEST(DeterminismTest, SerialAndParallelPipelinesAreBitIdenticalSeed42) {
@@ -239,16 +220,14 @@ TEST(DeterminismTest, SerialAndParallelPipelinesAreBitIdenticalSeed7) {
 }
 
 TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
-  // Row-wise serial vs columnar parallel: one byte-equality covers both
-  // the thread and the layout axis of the contract.
-  const MissionDumps serial = mission_dumps(42, {}, 1, /*columnar=*/false);
-  const MissionDumps parallel = mission_dumps(42, {}, hardware_threads(), /*columnar=*/true);
+  const MissionDumps serial = mission_dumps(42, {}, 1);
+  const MissionDumps parallel = mission_dumps(42, {}, hardware_threads());
   EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
   EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
   EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
-  // Same seed, same thread count, same layout, fresh run: repeatability,
-  // not just thread independence.
-  const MissionDumps again = mission_dumps(42, {}, hardware_threads(), /*columnar=*/true);
+  // Same seed, same thread count, fresh run: repeatability, not just
+  // thread independence.
+  const MissionDumps again = mission_dumps(42, {}, hardware_threads());
   EXPECT_EQ(parallel.metrics_csv, again.metrics_csv);
   EXPECT_EQ(parallel.flight_log_csv, again.flight_log_csv);
   EXPECT_EQ(parallel.trace_csv, again.trace_csv);
@@ -291,10 +270,8 @@ TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
 }
 
 TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed7) {
-  // The layout axes flipped relative to the seed-42 test: columnar
-  // serial vs row-wise parallel.
-  const MissionDumps serial = mission_dumps(7, {}, 1, /*columnar=*/true);
-  const MissionDumps parallel = mission_dumps(7, {}, hardware_threads(), /*columnar=*/false);
+  const MissionDumps serial = mission_dumps(7, {}, 1);
+  const MissionDumps parallel = mission_dumps(7, {}, hardware_threads());
   EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
   EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
   EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
@@ -304,10 +281,9 @@ TEST(DeterminismTest, MetricsDumpKeepsTheContractUnderCombinedFaults) {
   // The kitchen-sink preset fires every fault kind; fault bookkeeping,
   // alert storms and degraded-I/O counters all land in the dump, and it
   // still may not depend on the pipeline's thread count.
-  const MissionDumps serial = mission_dumps(42, faults::FaultPlan::combined(42), 1,
-                                            /*columnar=*/false);
+  const MissionDumps serial = mission_dumps(42, faults::FaultPlan::combined(42), 1);
   const MissionDumps parallel =
-      mission_dumps(42, faults::FaultPlan::combined(42), hardware_threads(), /*columnar=*/true);
+      mission_dumps(42, faults::FaultPlan::combined(42), hardware_threads());
   EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
   EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
   EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
@@ -329,16 +305,14 @@ TEST(DeterminismTest, CascadeMissionKeepsTheContractSeeds7And42) {
   // expands dependency-graph fault propagation into a flat plan before
   // the mission starts, and that plan rides the stock injector — so the
   // dumps must stay a pure function of the seed, byte-identical between
-  // the serial reference and the hardware-thread columnar run.
+  // the serial reference and the hardware-thread run.
   for (const std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{42}}) {
     const scenario::ScenarioSpec spec = scenario::ScenarioSpec::generated(seed);
     const auto expanded = scenario::expand_scenario(spec, seed);
     ASSERT_TRUE(expanded.has_value()) << expanded.error().message;
     ASSERT_FALSE(expanded->cascade.plan.empty());
-    const MissionDumps serial = mission_dumps(seed, expanded->cascade.plan, 1,
-                                              /*columnar=*/false);
-    const MissionDumps parallel = mission_dumps(seed, expanded->cascade.plan,
-                                                hardware_threads(), /*columnar=*/true);
+    const MissionDumps serial = mission_dumps(seed, expanded->cascade.plan, 1);
+    const MissionDumps parallel = mission_dumps(seed, expanded->cascade.plan, hardware_threads());
     EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv) << "seed " << seed;
     EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv) << "seed " << seed;
     EXPECT_EQ(serial.trace_csv, parallel.trace_csv) << "seed " << seed;

@@ -4,9 +4,12 @@
 
 #include "dsp/speech.hpp"
 #include "dsp/walking.hpp"
+#include "row_oracles.hpp"
 
 namespace hs::dsp {
 namespace {
+
+using oracle::AudioRow;
 
 io::MotionFrame motion(float var, float step_hz) {
   io::MotionFrame f;
@@ -61,18 +64,26 @@ INSTANTIATE_TEST_SUITE_P(Frequencies, StepFreqSweep,
 
 // ------------------------------------------------------------------- speech
 
-TimedAudio frame(double t, float db, float voiced, float f0 = 120.0F) {
-  return TimedAudio{t, db, voiced, f0};
+AudioRow frame(double t, float db, float voiced, float f0 = 120.0F) {
+  return AudioRow{t, db, voiced, f0};
+}
+
+/// Analyze row frames through the column API.
+std::vector<SpeechInterval> analyze(const SpeechDetector& d, const std::vector<AudioRow>& frames,
+                                    double t0_s) {
+  const oracle::AudioCols cols(frames);
+  return d.analyze(cols.t.data(), cols.level.data(), cols.voiced.data(), cols.f0.data(),
+                   cols.t.size(), t0_s);
 }
 
 TEST(Speech, PaperRuleDetectsConversation) {
   SpeechDetector d;
-  std::vector<TimedAudio> frames;
+  std::vector<AudioRow> frames;
   // 15 frames: 4 voiced at 65 dB (>20% coverage).
   for (int i = 0; i < 15; ++i) {
     frames.push_back(frame(i, i < 4 ? 65.0F : 35.0F, i < 4 ? 0.7F : 0.0F));
   }
-  const auto intervals = d.analyze(frames, 0.0);
+  const auto intervals = analyze(d, frames, 0.0);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_TRUE(intervals[0].speech);
   EXPECT_EQ(intervals[0].voiced_frames, 4u);
@@ -81,22 +92,22 @@ TEST(Speech, PaperRuleDetectsConversation) {
 
 TEST(Speech, BelowCoverageRejected) {
   SpeechDetector d;
-  std::vector<TimedAudio> frames;
+  std::vector<AudioRow> frames;
   // Only 2 of 15 voiced frames: 13% < 20%.
   for (int i = 0; i < 15; ++i) {
     frames.push_back(frame(i, i < 2 ? 65.0F : 35.0F, i < 2 ? 0.7F : 0.0F));
   }
-  const auto intervals = d.analyze(frames, 0.0);
+  const auto intervals = analyze(d, frames, 0.0);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_FALSE(intervals[0].speech);
 }
 
 TEST(Speech, QuietVoiceRejected) {
   SpeechDetector d;
-  std::vector<TimedAudio> frames;
+  std::vector<AudioRow> frames;
   // Plenty of voiced frames but at 55 dB — conversation beyond ~2.5 m.
   for (int i = 0; i < 15; ++i) frames.push_back(frame(i, 55.0F, 0.7F));
-  const auto intervals = d.analyze(frames, 0.0);
+  const auto intervals = analyze(d, frames, 0.0);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_FALSE(intervals[0].speech);
 }
@@ -105,20 +116,20 @@ TEST(Speech, ExactBoundary) {
   SpeechDetector d;
   // Exactly 3 of 15 one-second frames voiced = exactly 20% coverage at
   // exactly 60 dB: the rule says "at least", so this is speech.
-  std::vector<TimedAudio> frames;
+  std::vector<AudioRow> frames;
   for (int i = 0; i < 15; ++i) {
     frames.push_back(frame(i, i < 3 ? 60.0F : 30.0F, i < 3 ? 0.5F : 0.0F));
   }
-  const auto intervals = d.analyze(frames, 0.0);
+  const auto intervals = analyze(d, frames, 0.0);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_TRUE(intervals[0].speech);
 }
 
 TEST(Speech, IntervalsAlignedToOrigin) {
   SpeechDetector d;
-  std::vector<TimedAudio> frames;
+  std::vector<AudioRow> frames;
   for (int i = 0; i < 45; ++i) frames.push_back(frame(100.0 + i, 65.0F, 0.7F));
-  const auto intervals = d.analyze(frames, 100.0);
+  const auto intervals = analyze(d, frames, 100.0);
   ASSERT_EQ(intervals.size(), 3u);
   EXPECT_DOUBLE_EQ(intervals[0].start_s, 100.0);
   EXPECT_DOUBLE_EQ(intervals[1].start_s, 115.0);
@@ -127,16 +138,16 @@ TEST(Speech, IntervalsAlignedToOrigin) {
 
 TEST(Speech, GapsProduceNoEmptyIntervals) {
   SpeechDetector d;
-  std::vector<TimedAudio> frames;
+  std::vector<AudioRow> frames;
   for (int i = 0; i < 15; ++i) frames.push_back(frame(i, 65.0F, 0.7F));
   for (int i = 0; i < 15; ++i) frames.push_back(frame(300.0 + i, 65.0F, 0.7F));
-  const auto intervals = d.analyze(frames, 0.0);
+  const auto intervals = analyze(d, frames, 0.0);
   EXPECT_EQ(intervals.size(), 2u);  // the silent gap yields nothing
 }
 
 TEST(Speech, DominantF0Voted) {
   SpeechDetector d;
-  std::vector<TimedAudio> frames;
+  std::vector<AudioRow> frames;
   for (int i = 0; i < 15; ++i) {
     // 5 frames of a 210 Hz speaker, 3 frames of a 120 Hz speaker.
     const bool female = i < 5;
@@ -144,7 +155,7 @@ TEST(Speech, DominantF0Voted) {
     frames.push_back(frame(i, (female || male) ? 66.0F : 30.0F,
                            (female || male) ? 0.7F : 0.0F, female ? 210.0F : 120.0F));
   }
-  const auto intervals = d.analyze(frames, 0.0);
+  const auto intervals = analyze(d, frames, 0.0);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_EQ(intervals[0].dominant_f0_hz, 210.0);
 }
@@ -159,7 +170,7 @@ TEST(Speech, SpeechFraction) {
 
 TEST(Speech, EmptyInput) {
   SpeechDetector d;
-  EXPECT_TRUE(d.analyze({}, 0.0).empty());
+  EXPECT_TRUE(d.analyze(nullptr, nullptr, nullptr, nullptr, 0, 0.0).empty());
 }
 
 /// Property: detection is monotone in loudness — raising every frame's
@@ -169,9 +180,9 @@ class LoudnessSweep : public ::testing::TestWithParam<double> {};
 TEST_P(LoudnessSweep, MonotoneInLevel) {
   SpeechDetector d;
   const auto db = static_cast<float>(GetParam());
-  std::vector<TimedAudio> frames;
+  std::vector<AudioRow> frames;
   for (int i = 0; i < 15; ++i) frames.push_back(frame(i, db, i < 6 ? 0.7F : 0.0F));
-  const auto intervals = d.analyze(frames, 0.0);
+  const auto intervals = analyze(d, frames, 0.0);
   ASSERT_EQ(intervals.size(), 1u);
   EXPECT_EQ(intervals[0].speech, db >= 60.0F) << db;
 }

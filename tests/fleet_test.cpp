@@ -59,6 +59,9 @@ TEST(CampaignDsl, RejectsMalformedSpecs) {
   EXPECT_FALSE(CampaignSpec::parse("campaign x\nhabitats zero\n").has_value());
   EXPECT_FALSE(CampaignSpec::parse("campaign x\ncrew 4\n").has_value());
   EXPECT_FALSE(CampaignSpec::parse("campaign x\nbeacons 28\n").has_value());
+  // Fewer than one beacon per covered room cannot be deployed.
+  EXPECT_FALSE(CampaignSpec::parse("campaign x\nbeacons 8\n").has_value());
+  EXPECT_TRUE(CampaignSpec::parse("campaign x\nbeacons 9\n").has_value());
   EXPECT_FALSE(CampaignSpec::parse("campaign x\nfaults nope\n").has_value());
   EXPECT_FALSE(CampaignSpec::parse("campaign x\ncascade meteor-shower\n").has_value());
   EXPECT_FALSE(CampaignSpec::parse("campaign x\nmesh maybe\n").has_value());

@@ -1,13 +1,18 @@
 // Columnar record-batch coverage: arena allocation, day-run splitting,
-// the exact SIMD predicate kernels, the columnar DSP overloads, and the
-// columnar ≡ row-wise pipeline contract on the edge cases the mission
-// simulator never produces on its own — an empty badge-day, a
-// single-record day, records straddling midnight, and NaN features.
+// the exact SIMD predicate kernels, the column DSP functions against the
+// brute-force oracles of tests/row_oracles.hpp, and the whole pipeline
+// against those oracles on the edge cases the mission simulator never
+// produces on its own — an empty badge-day, a single-record day, records
+// straddling midnight, NaN features and a badge with no records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "beacon/beacon.hpp"
@@ -17,6 +22,7 @@
 #include "dsp/walking.hpp"
 #include "habitat/habitat.hpp"
 #include "locate/room_classifier.hpp"
+#include "row_oracles.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/units.hpp"
@@ -81,7 +87,8 @@ TEST(DayRuns, SplitsExactlyAtMidnight) {
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0], (DayRun{2, 0, 2}));
   EXPECT_EQ(runs[1], (DayRun{3, 2, 4}));
-  // Boundary classification must equal the row-wise expression.
+  // Boundary classification must equal mission_day of the microsecond
+  // instant, the expression the attribute stage relies on.
   for (std::size_t i = 0; i < t.size(); ++i) {
     const int expected = mission_day(static_cast<SimTime>(t[i] * 1e6));
     const auto& run = i < 2 ? runs[0] : runs[1];
@@ -178,76 +185,127 @@ TEST(SimdKernels, MaskGe2MatchesScalar) {
   }
 }
 
-// --- columnar DSP overloads ------------------------------------------------
+// --- column DSP against brute-force oracles --------------------------------
+//
+// tests/row_oracles.hpp restates each rule from scratch over row structs;
+// the randomized streams sweep several seeds and carry NaN features,
+// unknown beacon ids, RSSI ties, coverage gaps and the empty/one-record
+// edges.
 
-TEST(ColumnarDsp, WalkingCountMatchesRowWise) {
-  Rng rng(11);
-  std::vector<io::MotionFrame> frames;
-  std::vector<float> step;
-  std::vector<float> var;
-  for (int i = 0; i < 777; ++i) {
-    io::MotionFrame f;
-    f.step_freq_hz = rng.bernoulli(0.1) ? kNaN : static_cast<float>(rng.uniform(0.0, 4.0));
-    f.accel_var = rng.bernoulli(0.1) ? kNaN : static_cast<float>(rng.uniform(0.0, 3.0));
-    frames.push_back(f);
-    step.push_back(f.step_freq_hz);
-    var.push_back(f.accel_var);
-  }
+TEST(ColumnarDsp, WalkingCountMatchesOracle) {
   const dsp::WalkingDetector d;
-  EXPECT_EQ(d.count_walking(step.data(), var.data(), step.size()), d.count_walking(frames));
-  EXPECT_EQ(d.count_walking(step.data(), var.data(), 0), 0u);
-  EXPECT_EQ(d.count_walking(step.data(), var.data(), 1),
-            d.is_walking(frames[0]) ? 1u : 0u);
-}
-
-TEST(ColumnarDsp, SpeechAnalyzeMatchesRowWise) {
-  Rng rng(13);
-  std::vector<dsp::TimedAudio> frames;
-  std::vector<double> t;
-  std::vector<float> level;
-  std::vector<float> voiced;
-  std::vector<float> f0;
-  for (int i = 0; i < 600; ++i) {
-    dsp::TimedAudio a;
-    a.t_s = 1000.0 + i + rng.uniform(0.0, 0.4);
-    a.level_db = rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(40.0, 80.0));
-    a.voiced_fraction = rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(0.0, 1.0));
-    a.f0_hz = rng.bernoulli(0.5) ? static_cast<float>(rng.uniform(90.0, 260.0)) : 0.0F;
-    frames.push_back(a);
-    t.push_back(a.t_s);
-    level.push_back(a.level_db);
-    voiced.push_back(a.voiced_fraction);
-    f0.push_back(a.f0_hz);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    std::vector<float> step;
+    std::vector<float> var;
+    // Values on and around the band edges, then random ones with NaN.
+    for (const float s : {0.9F, 0.89999997F, 3.2F, 3.2000002F, kNaN, kInf, 1.5F}) {
+      for (const float v : {1.2F, 1.19999998F, kNaN, 0.0F, 2.0F}) {
+        step.push_back(s);
+        var.push_back(v);
+      }
+    }
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 900));
+    for (std::size_t i = 0; i < n; ++i) {
+      step.push_back(rng.bernoulli(0.1) ? kNaN : static_cast<float>(rng.uniform(0.0, 4.0)));
+      var.push_back(rng.bernoulli(0.1) ? kNaN : static_cast<float>(rng.uniform(0.0, 3.0)));
+    }
+    for (const std::size_t len : {std::size_t{0}, std::size_t{1}, step.size()}) {
+      EXPECT_EQ(d.count_walking(step.data(), var.data(), len),
+                oracle::count_walking(step.data(), var.data(), len))
+          << "seed " << seed << " n=" << len;
+    }
   }
-  const dsp::SpeechDetector d;
-  const auto row = d.analyze(frames, 0.0);
-  const auto col = d.analyze(t.data(), level.data(), voiced.data(), f0.data(), t.size(), 0.0);
-  EXPECT_EQ(row, col);
-  EXPECT_TRUE(d.analyze(t.data(), level.data(), voiced.data(), f0.data(), 0, 0.0).empty());
 }
 
-TEST(ColumnarDsp, RoomClassifyMatchesRowWise) {
+TEST(ColumnarDsp, SpeechAnalyzeMatchesOracle) {
+  const dsp::SpeechDetector d;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    std::vector<oracle::AudioRow> frames;
+    double t = 1000.0 + rng.uniform(0.0, 20.0);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 800));
+    for (std::size_t i = 0; i < n; ++i) {
+      oracle::AudioRow a;
+      a.t_s = t;
+      a.level_db = rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(50.0, 75.0));
+      a.voiced_fraction = rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(0.0, 1.0));
+      a.f0_hz = rng.bernoulli(0.5) ? static_cast<float>(rng.uniform(90.0, 260.0))
+                                   : (rng.bernoulli(0.5) ? 0.0F : kNaN);
+      frames.push_back(a);
+      // 1 Hz frames with jitter; now and then the badge goes quiet for a
+      // while, leaving whole intervals without frames.
+      t += rng.bernoulli(0.02) ? rng.uniform(20.0, 120.0) : 1.0 + rng.uniform(0.0, 0.4);
+    }
+    const double t0 = rng.uniform(0.0, 15.0);
+    const oracle::AudioCols cols(frames);
+    EXPECT_EQ(d.analyze(cols.t.data(), cols.level.data(), cols.voiced.data(), cols.f0.data(),
+                        cols.t.size(), t0),
+              oracle::speech(frames, t0))
+        << "seed " << seed;
+  }
+  // Exact thresholds: 3 of 15 frames voiced at exactly 60 dB / 0.25 is
+  // speech; one float step below either threshold is not.
+  for (const float level : {60.0F, 59.999996F}) {
+    for (const float voiced : {0.25F, 0.24999999F}) {
+      std::vector<oracle::AudioRow> frames;
+      for (int i = 0; i < 15; ++i) {
+        frames.push_back(oracle::AudioRow{static_cast<double>(i), i < 3 ? level : 30.0F,
+                                          i < 3 ? voiced : 0.0F, 120.0F});
+      }
+      const oracle::AudioCols cols(frames);
+      EXPECT_EQ(d.analyze(cols.t.data(), cols.level.data(), cols.voiced.data(), cols.f0.data(),
+                          cols.t.size(), 0.0),
+                oracle::speech(frames, 0.0))
+          << level << " dB, voiced " << voiced;
+    }
+  }
+}
+
+TEST(ColumnarDsp, RoomClassifyMatchesOracle) {
   const auto hab = habitat::Habitat::lunares();
   const auto beacons = beacon::deploy_lunares_beacons(hab);
   const locate::RoomClassifier classifier(beacons);
-  Rng rng(17);
-  std::vector<locate::TimedRssi> rows;
-  std::vector<double> t;
-  std::vector<io::BeaconId> id;
-  std::vector<std::int8_t> rssi;
-  for (int i = 0; i < 400; ++i) {
-    locate::TimedRssi o;
-    o.t_s = 2000.0 + i * 0.7;
-    o.beacon = static_cast<io::BeaconId>(rng.uniform(0.0, 1.0) * static_cast<double>(beacons.size()));
-    o.rssi_dbm = -40 - static_cast<int>(rng.uniform(0.0, 55.0));
-    rows.push_back(o);
-    t.push_back(o.t_s);
-    id.push_back(o.beacon);
-    rssi.push_back(static_cast<std::int8_t>(o.rssi_dbm));
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::vector<oracle::ObsRow> rows;
+    double t = 2000.0 + rng.uniform(0.0, 5.0);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 600));
+    for (std::size_t i = 0; i < n; ++i) {
+      oracle::ObsRow o;
+      o.t_s = t;
+      // Mostly surveyed beacons, sometimes an id past the survey.
+      o.beacon = rng.bernoulli(0.05)
+                     ? static_cast<io::BeaconId>(200)
+                     : static_cast<io::BeaconId>(rng.uniform_int(
+                           0, static_cast<std::int64_t>(beacons.size()) - 1));
+      // Coarse RSSI steps make ties within a bin common.
+      o.rssi_dbm = -40 - 5 * static_cast<int>(rng.uniform_int(0, 11));
+      rows.push_back(o);
+      // Several beacons per scan (same stamp), sub-second steps, and
+      // gaps both under and over the 5 s carry.
+      const double u = rng.uniform();
+      t += u < 0.4 ? 0.0 : u < 0.9 ? rng.uniform(0.1, 1.5) : rng.uniform(3.0, 30.0);
+    }
+    const oracle::ObsCols cols(rows);
+    EXPECT_EQ(classifier.classify(cols.t.data(), cols.beacon.data(), cols.rssi.data(),
+                                  cols.t.size()),
+              oracle::classify(rows, beacons))
+        << "seed " << seed;
   }
-  EXPECT_EQ(classifier.classify(rows),
-            classifier.classify(t.data(), id.data(), rssi.data(), t.size()));
-  EXPECT_TRUE(classifier.classify(t.data(), id.data(), rssi.data(), 0).empty());
+  // A NaN timestamp is dropped rather than looped on, at the start of the
+  // stream and inside a bin.
+  const std::vector<oracle::ObsRow> nan_rows = {
+      {std::numeric_limits<double>::quiet_NaN(), beacons[0].id, -50},
+      {10.0, beacons[0].id, -50},
+      {10.5, beacons[1].id, -45},
+      {std::numeric_limits<double>::quiet_NaN(), beacons[2].id, -40},
+      {11.2, beacons[2].id, -60},
+  };
+  const oracle::ObsCols nan_cols(nan_rows);
+  EXPECT_EQ(classifier.classify(nan_cols.t.data(), nan_cols.beacon.data(), nan_cols.rssi.data(),
+                                nan_cols.t.size()),
+            oracle::classify(nan_rows, beacons));
 }
 
 // --- RecordBatch::build ----------------------------------------------------
@@ -281,7 +339,7 @@ TEST(RecordBatchBuild, AppliesRectifyAndWornFilterExactly) {
   const std::vector<std::pair<double, double>> worn = {{10.0, 20.0}, {30.0, 35.0}};
   ColumnArena arena;
   const auto batch = RecordBatch::build(0, card, fit, worn, arena);
-  // Reference: the row-wise expression over the same records.
+  // Reference: rectify + worn filter restated over the same records.
   std::vector<double> want_t;
   std::vector<float> want_var;
   IntervalCursor cursor(worn);
@@ -323,7 +381,7 @@ TEST(RecordBatchBuild, DayRunsCoverStraddlingStreams) {
   EXPECT_EQ(batch.audio.days[1], (DayRun{3, 4, 9}));
 }
 
-// --- columnar ≡ row-wise pipeline on edge-case datasets --------------------
+// --- the pipeline on edge-case datasets, against the oracles ---------------
 
 /// Hand-built dataset exercising what the simulator never emits: astronaut
 /// 0 has a day with zero records between two populated days, astronaut 1
@@ -449,51 +507,114 @@ Dataset make_edge_dataset() {
   return data;
 }
 
-void expect_pipelines_equal(const AnalysisPipeline& row, const AnalysisPipeline& col) {
-  EXPECT_EQ(row.tracks(), col.tracks());
+/// Every record of badge `b` (one badge per astronaut, owned on every
+/// day, every record inside a worn window, identity clock fit), in card
+/// order, on the rectified timeline.
+struct BadgeRows {
+  std::vector<oracle::ObsRow> obs;
+  std::vector<oracle::AudioRow> audio;
+  std::vector<float> motion_step;
+  std::vector<float> motion_var;
+  std::vector<double> motion_t;
+};
+
+BadgeRows badge_rows(const BadgeLog& log) {
+  BadgeRows rows;
+  for (const auto& o : log.card.beacon_obs()) {
+    rows.obs.push_back(oracle::ObsRow{static_cast<double>(o.t) / 1000.0, o.beacon, o.rssi_dbm});
+  }
+  for (const auto& a : log.card.audio()) {
+    rows.audio.push_back(oracle::AudioRow{static_cast<double>(a.t) / 1000.0, a.level_db,
+                                          a.voiced_fraction, a.dominant_f0_hz});
+  }
+  for (const auto& m : log.card.motion()) {
+    rows.motion_t.push_back(static_cast<double>(m.t) / 1000.0);
+    rows.motion_step.push_back(m.step_freq_hz);
+    rows.motion_var.push_back(m.accel_var);
+  }
+  return rows;
+}
+
+/// Tracks, speech intervals, Fig. 4, Fig. 6 and Table I's talking and
+/// walking columns of `pipeline` against the oracles run on the raw rows.
+void expect_matches_oracles(const Dataset& data, const AnalysisPipeline& pipeline) {
+  const int first = data.first_day();
+  const auto days = static_cast<std::size_t>(data.last_day() - first + 1);
+  std::vector<std::array<double, crew::kCrewSize>> fig4(days);
+  std::vector<std::array<double, crew::kCrewSize>> fig6(days);
+  for (auto& row : fig4) row.fill(-1.0);
+  for (auto& row : fig6) row.fill(-1.0);
+  std::array<double, crew::kCrewSize> talking{};
+  std::array<double, crew::kCrewSize> walking{};
   for (std::size_t i = 0; i < crew::kCrewSize; ++i) {
-    EXPECT_EQ(row.speech_intervals(i), col.speech_intervals(i)) << "astronaut " << i;
+    const BadgeRows rows = badge_rows(data.logs[i]);
+    EXPECT_EQ(pipeline.track(i), oracle::classify(rows.obs, data.beacons)) << "astronaut " << i;
+    const auto speech = oracle::speech(rows.audio, 0.0);
+    EXPECT_EQ(pipeline.speech_intervals(i), speech) << "astronaut " << i;
+
+    // Fig. 4: walking fraction per day with >= 600 frames (10 min).
+    std::map<int, std::pair<std::size_t, std::size_t>> by_day;  // day -> (walking, total)
+    for (std::size_t k = 0; k < rows.motion_t.size(); ++k) {
+      auto& [walk, total] = by_day[oracle::day_of(rows.motion_t[k])];
+      ++total;
+      if (oracle::walking(rows.motion_step[k], rows.motion_var[k])) ++walk;
+    }
+    for (const auto& [day, counts] : by_day) {
+      if (day < first || day > data.last_day() || counts.second < 600) continue;
+      fig4[static_cast<std::size_t>(day - first)][i] =
+          static_cast<double>(counts.first) / static_cast<double>(counts.second);
+    }
+    // Fig. 6: speech fraction per day with >= 40 intervals (10 min).
+    std::map<int, std::pair<std::size_t, std::size_t>> speech_by_day;
+    for (const auto& iv : speech) {
+      auto& [talk, total] = speech_by_day[oracle::day_of(iv.start_s)];
+      ++total;
+      if (iv.speech) ++talk;
+    }
+    for (const auto& [day, counts] : speech_by_day) {
+      if (day < first || day > data.last_day() || counts.second < 40) continue;
+      fig6[static_cast<std::size_t>(day - first)][i] =
+          static_cast<double>(counts.first) / static_cast<double>(counts.second);
+    }
+
+    std::size_t talk = 0;
+    for (const auto& iv : speech) talk += iv.speech ? 1 : 0;
+    talking[i] = speech.empty() ? 0.0 : static_cast<double>(talk) / static_cast<double>(speech.size());
+    const std::size_t walk = oracle::count_walking(rows.motion_step.data(),
+                                                   rows.motion_var.data(), rows.motion_t.size());
+    walking[i] = rows.motion_t.empty()
+                     ? 0.0
+                     : static_cast<double>(walk) / static_cast<double>(rows.motion_t.size());
   }
-  const auto rfig4 = row.fig4_walking();
-  const auto cfig4 = col.fig4_walking();
-  EXPECT_EQ(rfig4.first_day, cfig4.first_day);
-  EXPECT_EQ(rfig4.values, cfig4.values);
-  const auto rt1 = row.table1();
-  const auto ct1 = col.table1();
-  ASSERT_EQ(rt1.size(), ct1.size());
-  for (std::size_t i = 0; i < rt1.size(); ++i) {
-    EXPECT_EQ(rt1[i].walking, ct1[i].walking) << "astronaut " << i;
-    EXPECT_EQ(rt1[i].talking, ct1[i].talking) << "astronaut " << i;
+  EXPECT_EQ(pipeline.fig4_walking().values, fig4);
+  EXPECT_EQ(pipeline.fig6_speech().values, fig6);
+
+  // Table I reports talking and walking as shares of the crew maximum.
+  const auto table = pipeline.table1();
+  ASSERT_EQ(table.size(), crew::kCrewSize);
+  const double max_talking = *std::max_element(talking.begin(), talking.end());
+  const double max_walking = *std::max_element(walking.begin(), walking.end());
+  for (std::size_t i = 0; i < crew::kCrewSize; ++i) {
+    EXPECT_EQ(table[i].talking, max_talking > 0.0 ? talking[i] / max_talking : talking[i])
+        << "astronaut " << i;
+    EXPECT_EQ(table[i].walking, max_walking > 0.0 ? walking[i] / max_walking : walking[i])
+        << "astronaut " << i;
   }
 }
 
-TEST(ColumnarPipeline, EdgeCaseDatasetMatchesRowWiseBitIdentically) {
+TEST(ColumnarPipeline, EdgeCaseDatasetMatchesOraclesAtEveryThreadCount) {
   const Dataset data = make_edge_dataset();
-  PipelineOptions row_opts;
-  row_opts.threads = 1;
-  row_opts.columnar = false;
-  PipelineOptions col_opts;
-  col_opts.threads = 1;
-  col_opts.columnar = true;
-  const AnalysisPipeline row(data, row_opts);
-  const AnalysisPipeline col(data, col_opts);
-  expect_pipelines_equal(row, col);
-  // Sanity: the edge cases actually exist in the dataset.
-  EXPECT_FALSE(row.track(0).empty());   // astronaut 0 has populated days
-  EXPECT_TRUE(row.track(5).empty());    // astronaut 5 logged nothing
-}
-
-TEST(ColumnarPipeline, ColumnarParallelMatchesRowWiseSerial) {
-  const Dataset data = make_edge_dataset();
-  PipelineOptions row_opts;
-  row_opts.threads = 1;
-  row_opts.columnar = false;
-  PipelineOptions col_opts;
-  col_opts.threads = 4;
-  col_opts.columnar = true;
-  const AnalysisPipeline row(data, row_opts);
-  const AnalysisPipeline col(data, col_opts);
-  expect_pipelines_equal(row, col);
+  for (const unsigned threads : {1U, 4U}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    PipelineOptions opts;
+    opts.threads = threads;
+    const AnalysisPipeline pipeline(data, opts);
+    expect_matches_oracles(data, pipeline);
+    // Sanity: the edge cases actually exist in the dataset.
+    EXPECT_FALSE(pipeline.track(0).empty());  // astronaut 0 has populated days
+    EXPECT_TRUE(pipeline.track(5).empty());   // astronaut 5 logged nothing
+    EXPECT_GE(pipeline.fig4_walking().values[1][4], 0.0);  // the dense day has a Fig. 4 value
+  }
 }
 
 }  // namespace

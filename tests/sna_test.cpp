@@ -179,38 +179,6 @@ TEST(Meetings, SeparateRoomsSeparateMeetings) {
   EXPECT_EQ(meetings.size(), 2u);
 }
 
-// The raster fast path (fed column slices by the pipeline) and the
-// row-wise reference must agree bit-for-bit on every fixture above —
-// the artifact-layer port's unit-level equivalence pin; the randomized
-// sweep lives in meetings_property_test.cpp.
-TEST(Meetings, FastPathMatchesRowwiseReference) {
-  const std::vector<std::vector<std::vector<RoomStay>>> fixtures{
-      two_person_tracks(),
-      {{{RoomId::kKitchen, 100.0, 400.0}},
-       {{RoomId::kKitchen, 100.0, 400.0}},
-       {{RoomId::kOffice, 0.0, 500.0}}},
-      {{{RoomId::kKitchen, 0.0, 600.0}},
-       {{RoomId::kKitchen, 0.0, 280.0}, {RoomId::kKitchen, 300.0, 600.0}}},
-      {{{RoomId::kKitchen, 0.0, 300.0}},
-       {{RoomId::kKitchen, 0.0, 300.0}},
-       {{RoomId::kOffice, 0.0, 300.0}},
-       {{RoomId::kOffice, 0.0, 300.0}}},
-      {},  // empty crew
-  };
-  for (std::size_t f = 0; f < fixtures.size(); ++f) {
-    const auto fast = detect_meetings(fixtures[f], 0.0, 600.0);
-    const auto ref = detect_meetings_rowwise(fixtures[f], 0.0, 600.0);
-    ASSERT_EQ(fast.size(), ref.size()) << "fixture " << f;
-    for (std::size_t k = 0; k < fast.size(); ++k) {
-      EXPECT_EQ(fast[k].room, ref[k].room) << "fixture " << f << " meeting " << k;
-      EXPECT_EQ(fast[k].start_s, ref[k].start_s) << "fixture " << f << " meeting " << k;
-      EXPECT_EQ(fast[k].end_s, ref[k].end_s) << "fixture " << f << " meeting " << k;
-      EXPECT_EQ(fast[k].participants, ref[k].participants)
-          << "fixture " << f << " meeting " << k;
-    }
-  }
-}
-
 TEST(Meetings, InvolvesQuery) {
   Meeting m;
   m.participants = {1, 3};
@@ -269,32 +237,6 @@ TEST(MeetingDynamics, NoSpeechIntervals) {
   m.end_s = 300.0;
   const auto dyn = analyze_meeting(m, std::vector<std::vector<dsp::SpeechInterval>>(2));
   EXPECT_EQ(dyn.speech_fraction, 0.0);
-}
-
-// Flat-slot dynamics vs the std::map reference, bit-for-bit, including
-// the contested-slot case (two badges hear the same 15 s slot; loudest
-// strictly wins, first-by-index keeps ties).
-TEST(MeetingDynamics, FastPathMatchesRowwiseReference) {
-  Meeting m;
-  m.room = RoomId::kKitchen;
-  m.start_s = 0.0;
-  m.end_s = 300.0;
-  m.participants = {0, 1, 2};
-  auto speech = speech_for(3, /*speaker=*/1, 0.0, 300.0, 60.0);
-  // Make astronaut 2 the loudest for the second half of the slots, and
-  // tie astronaut 0 with the speaker on one slot to exercise the
-  // strict-greater badge rule.
-  for (std::size_t s = speech[2].size() / 2; s < speech[2].size(); ++s) {
-    speech[2][s].mean_voiced_db = 80.0F;
-  }
-  speech[0][3].mean_voiced_db = speech[1][3].mean_voiced_db;
-  for (const auto& sp : {speech, std::vector<std::vector<dsp::SpeechInterval>>(3)}) {
-    const auto fast = analyze_meeting(m, sp);
-    const auto ref = analyze_meeting_rowwise(m, sp);
-    EXPECT_EQ(fast.speech_fraction, ref.speech_fraction);
-    EXPECT_EQ(fast.mean_loudness_db, ref.mean_loudness_db);
-    EXPECT_EQ(fast.talk_share, ref.talk_share);
-  }
 }
 
 TEST(PairMeetingSeconds, FiltersPrivate) {
